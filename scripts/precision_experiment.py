@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nullgvn.corpus import GeneratorConfig, generate
-from nullgvn.pipeline import analyze_program
+from nullgvn.pipeline import analyze_levels
 
 
 def run_profile(name: str, density: float, count: int) -> None:
@@ -23,14 +23,13 @@ def run_profile(name: str, density: float, count: int) -> None:
     regressions = 0
     for seed in range(count):
         program = generate(GeneratorConfig(seed=seed, null_check_density=density))
-        ssa = analyze_program(program, "ssa", "worklist")
-        gvn = analyze_program(program, "ssa+gvn", "worklist")
-        asserts += ssa.report.total
-        ssa_unproved += ssa.report.unproved
-        gvn_unproved += gvn.report.unproved
-        ssa_ms += sum(ssa.report.timings_ms.values())
-        gvn_phase_ms += gvn.report.timings_ms["gvn"]
-        if gvn.report.unproved > ssa.report.unproved:
+        ssa, gvn = analyze_levels(program, "worklist")
+        asserts += ssa.total
+        ssa_unproved += ssa.unproved
+        gvn_unproved += gvn.unproved
+        ssa_ms += sum(ssa.timings_ms.values())
+        gvn_phase_ms += gvn.timings_ms["gvn"]
+        if gvn.unproved > ssa.unproved:
             regressions += 1
     reduction = ssa_unproved / gvn_unproved if gvn_unproved else float("inf")
     print(f"profile {name} (density={density}, n={count}):")

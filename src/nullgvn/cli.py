@@ -6,10 +6,10 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path as FsPath
 
 from . import corpus, interp, normalize, pipeline
+from .ir import Diagnostic
 from .parse import parse_program, print_program
 
 EXIT_OK = 0
@@ -17,17 +17,29 @@ EXIT_DIAGNOSTICS = 1
 EXIT_INTERNAL = 2
 
 
+class InputError(Exception):
+    """An input the CLI cannot use; main prints the diagnostics, exit 1."""
+
+    def __init__(self, diagnostics: list[Diagnostic]):
+        super().__init__("; ".join(str(d) for d in diagnostics))
+        self.diagnostics = diagnostics
+
+
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fp:
-        return fp.read()
+    """The text of a UTF-8 file; every input file is read here."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return fp.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc)
+        raise InputError([Diagnostic("error", reason, where=path)]) from exc
 
 
-def _parse_or_fail(path: str):
+def _load(path: str):
+    """Read and parse one program file."""
     program = parse_program(_read(path), path)
     if isinstance(program, list):
-        for d in program:
-            print(str(d), file=sys.stderr)
-        raise pipeline.PipelineError(program)
+        raise InputError(program)
     return program
 
 
@@ -52,6 +64,8 @@ def _report_text(name: str, report) -> str:
 
 
 def _check_semantics(original, transformed, depth: int, dump: str | None) -> bool:
+    if depth < 1:
+        raise InputError([Diagnostic("error", f"--depth must be at least 1, got {depth}")])
     a = interp.enumerate_traces(original, depth)
     b = interp.enumerate_traces(transformed, depth)
     if dump:
@@ -69,7 +83,7 @@ def _check_semantics(original, transformed, depth: int, dump: str | None) -> boo
 
 def cmd_analyze(args) -> int:
     t0 = time.monotonic()
-    program = _parse_or_fail(args.file)
+    program = _load(args.file)
     parse_ms = (time.monotonic() - t0) * 1000.0
     result = pipeline.analyze_program(program, args.transform, args.solver, parse_ms)
     if args.check_semantics:
@@ -86,14 +100,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    program = _parse_or_fail(args.file)
+    program = _load(args.file)
     transformed, _ = pipeline.transform_program(program, args.level)
     _emit(print_program(transformed), args.output)
     return EXIT_OK
 
 
 def cmd_check_semantics(args) -> int:
-    program = _parse_or_fail(args.file)
+    program = _load(args.file)
     transformed, _ = pipeline.transform_program(program, args.level)
     if _check_semantics(program, transformed, args.depth, args.dump_traces):
         print(f"{args.file}: traces equivalent at depth {args.depth}")
@@ -110,28 +124,30 @@ def _config_from_args(args) -> corpus.GeneratorConfig:
                 continue
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
-    weights = dict(corpus.DEFAULT_WEIGHTS)
-    for key, value in values.items():
-        if key.startswith("weight_"):
-            weights[key[len("weight_"):]] = float(value)
-    cfg = corpus.GeneratorConfig(
-        seed=args.seed if args.seed is not None else int(values.get("seed", 0)),
-        max_procs=int(values.get("max_procs", 2)),
-        max_blocks=int(values.get("max_blocks", 4)),
-        max_stmts=int(values.get("max_stmts", 4)),
-        weights=tuple(weights.items()),
-        null_check_density=(
-            args.null_check_density
-            if args.null_check_density is not None
-            else float(values.get("null_check_density", 0.85))
-        ),
-        loop_prob=(
-            args.loop_prob
-            if args.loop_prob is not None
-            else float(values.get("loop_prob", 0.15))
-        ),
-    )
-    return cfg
+    try:
+        weights = dict(corpus.DEFAULT_WEIGHTS)
+        for key, value in values.items():
+            if key.startswith("weight_"):
+                weights[key[len("weight_"):]] = float(value)
+        return corpus.GeneratorConfig(
+            seed=args.seed if args.seed is not None else int(values.get("seed", 0)),
+            max_procs=int(values.get("max_procs", 2)),
+            max_blocks=int(values.get("max_blocks", 4)),
+            max_stmts=int(values.get("max_stmts", 4)),
+            weights=tuple(weights.items()),
+            null_check_density=(
+                args.null_check_density
+                if args.null_check_density is not None
+                else float(values.get("null_check_density", 0.85))
+            ),
+            loop_prob=(
+                args.loop_prob
+                if args.loop_prob is not None
+                else float(values.get("loop_prob", 0.15))
+            ),
+        )
+    except ValueError as exc:  # a config value that is not a number
+        raise InputError([Diagnostic("error", str(exc), where=args.config)]) from exc
 
 
 def cmd_gen(args) -> int:
@@ -141,23 +157,17 @@ def cmd_gen(args) -> int:
 
 
 def _report_row(path: FsPath, solver_kind: str) -> dict:
-    text = _read(str(path))
-    program = parse_program(text, str(path))
-    if isinstance(program, list):
-        raise pipeline.PipelineError(program)
-    ssa = pipeline.analyze_program(program, "ssa", solver_kind)
-    gvn = pipeline.analyze_program(program, "ssa+gvn", solver_kind)
-    ssa_t = ssa.report.timings_ms
-    gvn_t = gvn.report.timings_ms
+    program = _load(str(path))
+    ssa, gvn = pipeline.analyze_levels(program, solver_kind)
     return {
         "bench": path.stem,
         "procs": len(program.procedures),
-        "asserts": ssa.report.total,
-        "ssa_time_ms": round(sum(ssa_t.values()), 3),
-        "ssa_unproved": ssa.report.unproved,
-        "gvn_time_ms": round(sum(gvn_t.values()), 3),
-        "gvn_phase_ms": round(gvn_t["gvn"], 3),
-        "gvn_unproved": gvn.report.unproved,
+        "asserts": ssa.total,
+        "ssa_time_ms": round(sum(ssa.timings_ms.values()), 3),
+        "ssa_unproved": ssa.unproved,
+        "gvn_time_ms": round(sum(gvn.timings_ms.values()), 3),
+        "gvn_phase_ms": round(gvn.timings_ms["gvn"], 3),
+        "gvn_unproved": gvn.unproved,
     }
 
 
@@ -167,8 +177,7 @@ def cmd_report(args) -> int:
     if not files:
         print(f"no .ir files under {root}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        rows = list(pool.map(lambda p: _report_row(p, args.solver), files))
+    rows = [_report_row(path, args.solver) for path in files]
     if args.format == "json":
         _emit(json.dumps(rows, indent=2) + "\n", None)
         return EXIT_OK
@@ -245,37 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory")
     p.add_argument("--solver", choices=pipeline.SOLVERS, default="worklist")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=4)
     p.set_defaults(func=cmd_report)
 
     return parser
-
-
-def run(config: pipeline.PipelineConfig) -> tuple[int, list[dict]]:
-    """Programmatic one-shot: analyze every input at the configured level."""
-    reports = []
-    for path in config.inputs:
-        try:
-            result = pipeline.analyze_file(path, config.transform, config.solver)
-        except pipeline.PipelineError as exc:
-            for d in exc.diagnostics:
-                print(str(d), file=sys.stderr)
-            return EXIT_DIAGNOSTICS, reports
-        if config.check_semantics:
-            original = _parse_or_fail(path)
-            if not _check_semantics(original, result.transformed, config.depth, None):
-                return EXIT_DIAGNOSTICS, reports
-        if config.emit_transformed:
-            _emit(print_program(result.transformed), config.emit_transformed)
-        reports.append(result.report.to_json_dict())
-    return EXIT_OK, reports
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except pipeline.PipelineError:
+    except InputError as exc:
+        for d in exc.diagnostics:
+            print(str(d), file=sys.stderr)
         return EXIT_DIAGNOSTICS
     except normalize.LiftError as exc:
         print(str(exc.diagnostic), file=sys.stderr)

@@ -1,17 +1,19 @@
 """Bundled example programs and a seeded random program generator.
 
-The bundled set covers the motivating patterns of the transformation
-(guarded copies, chained field reads, merge-point checks, field and call
-kills, loops) plus adversarial corners. The generator produces closed
-programs (no read of a never-assigned variable on any path) with a
-"defensive programmer" bias: dereferences tend to sit behind a non-null
-check, which is exactly the shape the transformation exploits.
+The bundled set, one `.ir` file per program under `programs/`, covers the
+motivating patterns of the transformation (guarded copies, chained field
+reads, merge-point checks, field and call kills, loops) plus adversarial
+corners. The generator produces closed programs (no read of a
+never-assigned variable on any path) with a "defensive programmer" bias:
+dereferences tend to sit behind a non-null check, which is exactly the
+shape the transformation exploits.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from importlib import resources
 
 from .ir import (
     Alloc,
@@ -33,150 +35,21 @@ from .ir import (
 )
 from .parse import parse_program
 
-_SOURCES: dict[str, str] = {}
+
+def bundled_sources() -> dict[str, str]:
+    """Name -> source text of the packaged programs, `programs/NAME.ir`."""
+    files = resources.files(__package__) / "programs"
+    return {
+        f.name.removesuffix(".ir"): f.read_text(encoding="utf-8")
+        for f in sorted(files.iterdir(), key=lambda f: f.name)
+        if f.name.endswith(".ir")
+    }
 
 
-def _add(name: str, text: str) -> None:
-    _SOURCES[name] = text.strip() + "\n"
-
-
-# -- core examples -----------------------------------------------------------
-
-_add("basic_interproc", """
-var x;
-procedure f(var y : int) returns u : int {
-  var z;
-  L1:
-    x := y.f;
-    assume (x != Null);
-    goto L2;
-  L2:
-    z.g := y;
-    assert (x != Null);
-    u := x;
-    return;
-}
-procedure main() {
-  var a;
-  var b;
-  L1:
-    a := new(1);
-    b := call f(a);
-    goto L2;
-  L2:
-    return;
-}
-""")
-
-_add("reassign_null_after_check", """
-procedure main() {
-  var x; var y;
-  L1:
-    x := new(1);
-    assert (x != Null);
-    y := x.f;
-    x := Null;
-    return;
-}
-""")
-
-_add("guarded_copy", """
-procedure main() {
-  var x; var y; var z;
-  L0:
-    goto LA, LB;
-  LA:
-    x := new(1);
-    goto L1;
-  LB:
-    x := Null;
-    goto L1;
-  L1:
-    assume (x != Null);
-    y := x;
-    assert (x != Null);
-    z := x.f;
-    return;
-}
-""")
-
-_add("store_invalidates_check", """
-procedure main() {
-  var x; var y; var z; var w;
-  L0:
-    x := new(1);
-    w := new(2);
-    x.f := w;
-    y := new(3);
-    z := new(4);
-    assume (x.f != Null);
-    y.f := z;
-    z := x.f;
-    return;
-}
-""")
-
-_add("chained_field_equiv", """
-procedure main() {
-  var x; var v1; var v2; var v3; var c; var d;
-  var y; var z; var a; var b;
-  L1:
-    x := new(1);
-    v1 := new(2);
-    v2 := new(3);
-    v3 := new(4);
-    c := new(5);
-    d := new(6);
-    x.f := v1;
-    v1.g := v2;
-    v2.h := v3;
-    y := x.f.g;
-    z := y.h;
-    assume (z != Null);
-    a := x.f;
-    b := a.g.h;
-    assert (b != Null);
-    c.g := d;
-    return;
-}
-""")
-
-_add("branch_merge_check", """
-procedure check(x) returns (r) {
-  L0:
-    r := x;
-    goto L1, L2;
-  L1:
-    assume (x != Null);
-    goto L3;
-  L2:
-    assume (x != Null);
-    goto L3;
-  L3:
-    assert (x != Null);
-    return;
-}
-procedure main() {
-  var p; var q;
-  L0:
-    goto LA, LB;
-  LA:
-    p := new(1);
-    goto LC;
-  LB:
-    p := Null;
-    goto LC;
-  LC:
-    q := call check(p);
-    return;
-}
-""")
-
-
-def _chained_field_equiv_rewritten() -> Program:
+def _chained_field_equiv_rewritten(source: str) -> Program:
     """The chained-field program after the transformation, built directly
     since source text cannot declare tagged variables."""
-    program = parse_program(_SOURCES["chained_field_equiv"])
+    program = parse_program(source)
     assert isinstance(program, Program)
     proc = program.procedures[0]
     tag = "gvnTmp__gvn1"
@@ -199,362 +72,23 @@ def _chained_field_equiv_rewritten() -> Program:
     return program
 
 
-# -- adversarial cases --------------------------------------------------------
-
-_add("store_kill_across_blocks", """
-procedure main() {
-  var x; var y; var z; var w;
-  L1:
-    x := new(1);
-    w := new(2);
-    x.f := w;
-    y := new(3);
-    z := new(4);
-    assume (x.f != Null);
-    goto L2;
-  L2:
-    y.f := z;
-    goto L3;
-  L3:
-    w := x.f;
-    assert (w != Null);
-    return;
-}
-""")
-
-_add("call_invalidates_global_check", """
-var g;
-procedure clobber() {
-  L1:
-    g := Null;
-    return;
-}
-procedure main() {
-  var y;
-  L1:
-    g := new(1);
-    assume (g != Null);
-    call clobber();
-    y := g;
-    assert (y != Null);
-    return;
-}
-""")
-
-_add("global_check_no_call", """
-var g;
-procedure main() {
-  var y;
-  L1:
-    goto LA, LB;
-  LA:
-    g := new(1);
-    goto L2;
-  LB:
-    g := Null;
-    goto L2;
-  L2:
-    assume (g != Null);
-    y := g;
-    assert (y != Null);
-    return;
-}
-""")
-
-_add("diamond_one_sided_check", """
-procedure main() {
-  var x; var y;
-  L0:
-    goto LA, LB;
-  LA:
-    x := new(1);
-    assume (x != Null);
-    goto L1;
-  LB:
-    x := Null;
-    goto L1;
-  L1:
-    assert (x != Null);
-    return;
-}
-""")
-
-_add("merge_without_prior_mention", """
-procedure check(x) returns (r) {
-  L0:
-    goto L1, L2;
-  L1:
-    assume (x != Null);
-    goto L3;
-  L2:
-    assume (x != Null);
-    goto L3;
-  L3:
-    assert (x != Null);
-    r := x;
-    return;
-}
-procedure main() {
-  var p; var q;
-  L0:
-    goto LA, LB;
-  LA:
-    p := new(1);
-    goto LC;
-  LB:
-    p := Null;
-    goto LC;
-  LC:
-    q := call check(p);
-    return;
-}
-""")
-
-_add("self_referential_load", """
-procedure main() {
-  var a; var b; var x; var y;
-  L0:
-    a := new(1);
-    b := new(2);
-    a.f := b;
-    b.f := a;
-    x := a;
-    assume (x.f != Null);
-    x := x.f;
-    y := x;
-    assert (y != Null);
-    return;
-}
-""")
-
-_add("tag_lookalike_names", """
-procedure main() {
-  var gvnTmp; var gvnTmp1; var x;
-  L0:
-    goto LA, LB;
-  LA:
-    x := new(1);
-    goto L1;
-  LB:
-    x := Null;
-    goto L1;
-  L1:
-    gvnTmp := x;
-    assume (gvnTmp != Null);
-    gvnTmp1 := gvnTmp;
-    assert (gvnTmp1 != Null);
-    return;
-}
-""")
-
-_add("store_base_substitution", """
-procedure main() {
-  var x; var y;
-  L0:
-    goto LA, LB;
-  LA:
-    x := new(1);
-    goto L1;
-  LB:
-    x := Null;
-    goto L1;
-  L1:
-    y := new(2);
-    assume (x != Null);
-    x.f := y;
-    assert (x != Null);
-    return;
-}
-""")
-
-_add("opaque_branching", """
-procedure main() {
-  var x; var y;
-  L0:
-    x := new(1);
-    assume *;
-    goto LA, LB;
-  LA:
-    y := x;
-    assert *;
-    goto L1;
-  LB:
-    y := Null;
-    goto L1;
-  L1:
-    assert (x != Null);
-    return;
-}
-""")
-
-_add("null_equality_assume", """
-procedure main() {
-  var x; var y;
-  L0:
-    goto LA, LB;
-  LA:
-    x := new(1);
-    goto L1;
-  LB:
-    x := Null;
-    goto L1;
-  L1:
-    assume (x == Null);
-    y := x;
-    assert (y == Null);
-    return;
-}
-""")
-
-_add("assert_chain", """
-procedure main() {
-  var x; var y;
-  L0:
-    goto LA, LB;
-  LA:
-    x := new(1);
-    goto L1;
-  LB:
-    x := Null;
-    goto L1;
-  L1:
-    assert (x != Null);
-    y := x;
-    assert (y != Null);
-    return;
-}
-""")
-
-_add("deep_field_chain", """
-procedure main() {
-  var a; var b; var c; var d; var x;
-  L0:
-    a := new(1);
-    b := new(2);
-    c := new(3);
-    d := new(4);
-    a.f := b;
-    b.f := c;
-    c.f := d;
-    assume (a.f.f.f != Null);
-    x := a.f.f.f;
-    assert (x != Null);
-    return;
-}
-""")
-
-_add("loop_self", """
-procedure main() {
-  var a; var b; var x;
-  L0:
-    a := new(1);
-    b := new(2);
-    a.f := b;
-    b.f := a;
-    x := a;
-    goto L1;
-  L1:
-    x := x.f;
-    goto L1, L2;
-  L2:
-    assert (x != Null);
-    return;
-}
-""")
-
-_add("loop_nested", """
-procedure main() {
-  var a; var b; var x; var i;
-  L0:
-    a := new(1);
-    b := new(2);
-    a.f := b;
-    b.f := a;
-    x := a;
-    i := a;
-    goto OUT;
-  OUT:
-    x := x.f;
-    goto IN;
-  IN:
-    i := i.f;
-    goto IN, OUTB;
-  OUTB:
-    i := x;
-    goto OUT, DONE;
-  DONE:
-    assert (x != Null);
-    return;
-}
-""")
-
-_add("loop_multi_exit", """
-procedure main() {
-  var a; var b; var x; var y; var z;
-  L0:
-    a := new(1);
-    b := new(2);
-    a.f := b;
-    b.f := a;
-    x := a;
-    goto H;
-  H:
-    x := x.f;
-    goto B, X1;
-  B:
-    y := x;
-    goto H, X2;
-  X1:
-    z := new(3);
-    assert (x != Null);
-    return;
-  X2:
-    z := new(4);
-    assert (y != Null);
-    return;
-}
-""")
-
-_add("loop_guarded_walk", """
-procedure main() {
-  var a; var b; var x; var y;
-  L0:
-    a := new(1);
-    b := new(2);
-    a.f := b;
-    x := a;
-    goto L1;
-  L1:
-    assume (x != Null);
-    y := x;
-    x := x.f;
-    goto L1, L2;
-  L2:
-    assert (y != Null);
-    return;
-}
-""")
-
-
 def bundled_programs() -> dict[str, Program]:
     """Name -> parsed program; every entry validates cleanly."""
+    sources = bundled_sources()
     out: dict[str, Program] = {}
-    for name, text in _SOURCES.items():
+    for name, text in sources.items():
         program = parse_program(text, filename=name)
         if isinstance(program, list):
             raise AssertionError(f"bundled program {name} does not parse: {program[0]}")
         out[name] = program
-    out["chained_field_equiv_rewritten"] = _chained_field_equiv_rewritten()
+    out["chained_field_equiv_rewritten"] = _chained_field_equiv_rewritten(
+        sources["chained_field_equiv"]
+    )
     for name, program in out.items():
         problems = validate(program)
         if problems:
             raise AssertionError(f"bundled program {name}: {problems[0]}")
     return out
-
-
-def bundled_sources() -> dict[str, str]:
-    """Name -> source text for the programs that exist in textual form."""
-    return dict(_SOURCES)
 
 
 # ---------------------------------------------------------------------------

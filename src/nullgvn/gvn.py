@@ -103,13 +103,16 @@ class GvnState:
     def new_term(self) -> int:
         return next(self._terms)
 
-    def compute_hash(self, expr: Path) -> int:
-        """Term for an access path, allocating fresh terms on first sight."""
+    def prefix_terms(self, expr: Path) -> list[int]:
+        """Terms for an access path's prefixes, shortest first (element k
+        numbers the prefix with k fields), allocating fresh terms on first
+        sight."""
         hv = self.hash_value[self.curr_block]
         term = hv.get(expr.base)
         if term is None:
             term = self.new_term()
             hv[expr.base] = term
+        terms = [term]
         for f in expr.fields:
             table = self.hash_function.setdefault(f, {})
             nxt = table.get(term)
@@ -117,23 +120,27 @@ class GvnState:
                 nxt = self.new_term()
                 table[term] = nxt
             term = nxt
-        return term
+            terms.append(term)
+        return terms
+
+    def compute_hash(self, expr: Path) -> int:
+        """Term for an access path, allocating fresh terms on first sight."""
+        return self.prefix_terms(expr)[-1]
 
     def get_expr(self, expr: Path) -> Path:
         """Substitute an expression whose term is known non-null.
 
-        The whole expression is tried first, then recursively its prefix,
-        keeping the trailing field. A term is substitutable only once a
-        tagged assignment for it has been processed in this block, hence the
-        default_var guard.
+        The whole expression is tried first, then each shorter prefix,
+        keeping the fields that follow it. A term is substitutable only once
+        a tagged assignment for it has been processed in this block, hence
+        the default_var guard.
         """
-        term = self.compute_hash(expr)
+        terms = self.prefix_terms(expr)
         default = self.default_var.setdefault(self.curr_block, {})
-        if term in self.non_null_exprs[self.curr_block] and term in default:
-            return Path(default[term])
-        if expr.fields:
-            prefix = self.get_expr(Path(expr.base, expr.fields[:-1]))
-            return Path(prefix.base, prefix.fields + (expr.fields[-1],))
+        non_null = self.non_null_exprs[self.curr_block]
+        for k in reversed(range(len(terms))):
+            if terms[k] in non_null and terms[k] in default:
+                return Path(default[terms[k]], expr.fields[k:])
         return expr
 
     def _rewrite_var(self, name: str) -> str:

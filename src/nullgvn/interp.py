@@ -6,6 +6,9 @@ so even statement-free cycles terminate). A trace is the sequence of
 observable events along one path:
 
     ("assign", var, value)       assignment through a statement
+    ("reassign", var, value)     assignment that leaves the value of its
+                                 source variable (SSA versions collapsed)
+                                 unchanged in its frame
     ("assert_pass", loc) / ("assert_fail", loc)
     ("null_deref", loc)          field access through Null
     ("assume_blocked", loc)      assume condition was false
@@ -18,6 +21,12 @@ allocations along the path, so summaries line up between a program and its
 transformed versions. Parameter, output and return binding is silent: only
 statements produce events, and binding an undefined source leaves the
 destination untouched.
+
+Each frame keeps the value each source variable last held, so that an
+assignment can be told apart from a reassignment. A callee's frame starts
+from its caller's values: loop lifting turns a loop into a callee that
+continues its caller's frame, and a program and its lifted version must
+record the same assignments.
 """
 
 from __future__ import annotations
@@ -55,7 +64,8 @@ class _State:
     )
 
     def __init__(self):
-        # frame: [proc name, block label, stmt index, vars dict, activation id]
+        # frame: [proc name, block label, stmt index, vars dict, activation id,
+        #         source variable -> value]
         self.frames = []
         self.heap = {}     # uid -> (site, {field: value}); value is None or uid
         self.globals = {}
@@ -68,7 +78,7 @@ class _State:
 
     def clone(self) -> "_State":
         st = _State()
-        st.frames = [[p, l, i, dict(v), a] for p, l, i, v, a in self.frames]
+        st.frames = [[p, l, i, dict(v), a, dict(s)] for p, l, i, v, a, s in self.frames]
         st.heap = {uid: (site, dict(fs)) for uid, (site, fs) in self.heap.items()}
         st.globals = dict(self.globals)
         st.steps = self.steps
@@ -93,6 +103,9 @@ class _Engine:
         self.depth = depth_bound
         self.max_traces = max_traces
         self.observer = observer
+        self.source = {
+            v: original_name(v) for p in program.procedures for v in p.scope_vars()
+        }
 
     # -- state access --------------------------------------------------------
 
@@ -100,11 +113,21 @@ class _Engine:
         store = st.globals if name in self.globals else st.frames[-1][3]
         return store.get(name, _MISSING)
 
-    def bind(self, st: _State, proc: str, name: str, value) -> None:
-        store = st.globals if name in self.globals else st.frames[-1][3]
-        store[name] = value
+    def bind(self, st: _State, proc: str, name: str, value) -> bool:
+        """Bind a variable; True if its source variable held another value."""
+        if name in self.globals:
+            changed = st.globals.get(name, _MISSING) != value
+            st.globals[name] = value
+        else:
+            frame = st.frames[-1]
+            frame[3][name] = value
+            sources = frame[5]
+            source = self.source[name]
+            changed = sources.get(source, _MISSING) != value
+            sources[source] = value
         if self.observer is not None:
             self.observer.on_bind(proc, name, value, st)
+        return changed
 
     def eval_path(self, st: _State, path):
         """("ok", value) | ("unassigned", var) | ("null_deref", None)."""
@@ -122,7 +145,7 @@ class _Engine:
     def run(self):
         entry = self.procs[self.program.entry]
         start = _State()
-        start.frames = [[entry.name, entry.entry_block, 0, {}, 0]]
+        start.frames = [[entry.name, entry.entry_block, 0, {}, 0, {}]]
         stack = [start]
         traces: list[tuple] = []
         seen = set()
@@ -221,21 +244,21 @@ class _Engine:
             if status == "null_deref":
                 st.trace.append(("null_deref", loc))
                 return True
-            self.bind(st, proc, stmt.lhs, payload)
-            st.trace.append(("assign", stmt.lhs, st.summary(payload)))
+            kind = "assign" if self.bind(st, proc, stmt.lhs, payload) else "reassign"
+            st.trace.append((kind, stmt.lhs, st.summary(payload)))
             return step()
 
         if isinstance(stmt, Alloc):
             uid = st.next_uid
             st.next_uid += 1
             st.heap[uid] = (stmt.site, {})
-            self.bind(st, proc, stmt.lhs, uid)
-            st.trace.append(("assign", stmt.lhs, st.summary(uid)))
+            kind = "assign" if self.bind(st, proc, stmt.lhs, uid) else "reassign"
+            st.trace.append((kind, stmt.lhs, st.summary(uid)))
             return step()
 
         if isinstance(stmt, AssignNull):
-            self.bind(st, proc, stmt.lhs, None)
-            st.trace.append(("assign", stmt.lhs, "null"))
+            kind = "assign" if self.bind(st, proc, stmt.lhs, None) else "reassign"
+            st.trace.append((kind, stmt.lhs, "null"))
             return step()
 
         if isinstance(stmt, Store):
@@ -295,8 +318,10 @@ class _Engine:
                 v = self.lookup(st, actual)
                 if v is not _MISSING:
                     new_vars[formal] = v
+            sources = dict(frame[5])
+            sources.update((self.source[f], v) for f, v in new_vars.items())
             st.frames.append(
-                [callee.name, callee.entry_block, 0, new_vars, st.next_activation]
+                [callee.name, callee.entry_block, 0, new_vars, st.next_activation, sources]
             )
             st.next_activation += 1
             if self.observer is not None:
@@ -328,7 +353,9 @@ def project_trace(trace: tuple, keep=None) -> tuple:
     Tagged variables disappear, SSA versions collapse to their source
     names, locations are stripped, and re-assignments that do not change a
     variable's (projected) value are dropped; merge copies introduced by
-    SSA are exactly such no-ops.
+    SSA are exactly such no-ops. The interpreter marks them `reassign`, as
+    only it sees each frame's values; an `assign` that repeats the last
+    value the projection saw for its name is dropped as well.
     """
     keep = keep or (lambda name: not is_tagged(name))
     values: dict[str, object] = {}
@@ -344,6 +371,8 @@ def project_trace(trace: tuple, keep=None) -> tuple:
                 continue
             values[name] = val
             out.append(("assign", name, val))
+        elif kind == "reassign":
+            continue
         elif kind == "unassigned":
             out.append(("unassigned", original_name(ev[2])))
         elif kind in ("assert_pass", "assert_fail", "null_deref", "assume_blocked"):

@@ -1,35 +1,16 @@
-"""Drives parse -> lift -> ssa -> gvn -> solve -> classify with timings."""
+"""Drives lift -> ssa -> gvn -> solve -> classify with timings."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gvn as gvn_mod
 from . import normalize, solver
-from .ir import Diagnostic, Program
-from .parse import parse_program
+from .ir import Program
 
 TRANSFORM_LEVELS = ("none", "ssa", "ssa+gvn")
 SOLVERS = ("naive", "worklist")
-
-
-class PipelineError(Exception):
-    def __init__(self, diagnostics: list[Diagnostic]):
-        super().__init__("; ".join(str(d) for d in diagnostics))
-        self.diagnostics = diagnostics
-
-
-@dataclass
-class PipelineConfig:
-    inputs: list[str] = field(default_factory=list)
-    transform: str = "ssa+gvn"
-    solver: str = "worklist"
-    fmt: str = "text"
-    check_semantics: bool = False
-    depth: int = 64
-    emit_transformed: str | None = None
-    jobs: int = 1
 
 
 @dataclass
@@ -64,15 +45,11 @@ def transform_program(program: Program, level: str) -> tuple[Program, dict[str, 
     return prog, timings
 
 
-def analyze_program(
-    program: Program,
-    transform: str = "ssa+gvn",
-    solver_kind: str = "worklist",
-    parse_ms: float = 0.0,
-) -> PipelineResult:
+def _solve(
+    transformed: Program, solver_kind: str, parse_ms: float, timings: dict[str, float]
+) -> solver.SafetyReport:
     if solver_kind not in SOLVERS:
         raise ValueError(f"unknown solver {solver_kind!r}")
-    transformed, timings = transform_program(program, transform)
     t0 = time.monotonic()
     constraints = solver.generate_constraints(transformed)
     if solver_kind == "naive":
@@ -80,33 +57,30 @@ def analyze_program(
     else:
         solution = solver.solve_worklist(constraints)
     report = solver.classify_assertions(transformed, solution)
-    report.timings_ms = {
-        "parse": parse_ms,
-        "lift": timings["lift"],
-        "ssa": timings["ssa"],
-        "gvn": timings["gvn"],
-        "solve": _ms(t0),
-    }
-    return PipelineResult(program, transformed, report)
+    report.timings_ms = {"parse": parse_ms, **timings, "solve": _ms(t0)}
+    return report
 
 
-def analyze_source(
-    text: str,
-    filename: str = "<input>",
+def analyze_program(
+    program: Program,
     transform: str = "ssa+gvn",
     solver_kind: str = "worklist",
+    parse_ms: float = 0.0,
 ) -> PipelineResult:
+    transformed, timings = transform_program(program, transform)
+    return PipelineResult(program, transformed, _solve(transformed, solver_kind, parse_ms, timings))
+
+
+def analyze_levels(
+    program: Program, solver_kind: str = "worklist"
+) -> tuple[solver.SafetyReport, solver.SafetyReport]:
+    """The `ssa` and `ssa+gvn` reports of one program, the paper's two
+    levels. Lifting and renaming run once: do_gvn copies its input, so both
+    levels start from the same SSA program, and both reports' timings
+    include that shared lift and ssa time."""
+    ssa, timings = transform_program(program, "ssa")
+    ssa_report = _solve(ssa, solver_kind, 0.0, timings)
     t0 = time.monotonic()
-    program = parse_program(text, filename)
-    parse_ms = _ms(t0)
-    if isinstance(program, list):
-        raise PipelineError(program)
-    return analyze_program(program, transform, solver_kind, parse_ms)
-
-
-def analyze_file(
-    path: str, transform: str = "ssa+gvn", solver_kind: str = "worklist"
-) -> PipelineResult:
-    with open(path, "r", encoding="utf-8") as fp:
-        text = fp.read()
-    return analyze_source(text, path, transform, solver_kind)
+    transformed = gvn_mod.do_gvn(ssa)
+    gvn_timings = {**timings, "gvn": _ms(t0)}
+    return ssa_report, _solve(transformed, solver_kind, 0.0, gvn_timings)

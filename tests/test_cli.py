@@ -3,11 +3,11 @@ from pathlib import Path as FsPath
 
 import pytest
 
+from nullgvn import corpus
 from nullgvn.cli import main
 from nullgvn.corpus import bundled_sources
 
-REPO = FsPath(__file__).resolve().parents[1]
-CORPUS = REPO / "corpus"
+CORPUS = FsPath(corpus.__file__).parent / "programs"
 
 
 @pytest.fixture()
@@ -98,7 +98,7 @@ def test_check_semantics_dump(capsys, tmp_path, chained):
 
 
 def test_report_table(capsys):
-    code, out, _ = run(capsys, "report", CORPUS, "--jobs", "4")
+    code, out, _ = run(capsys, "report", CORPUS)
     assert code == 0
     assert "bench" in out and "total" in out
     assert "chained_field_equiv" in out
@@ -135,13 +135,27 @@ def test_missing_corpus_dir(capsys, tmp_path):
     assert code == 1
 
 
-def test_programmatic_run(chained):
-    from nullgvn.cli import run as cli_run
-    from nullgvn.pipeline import PipelineConfig
-
-    code, reports = cli_run(
-        PipelineConfig(inputs=[str(chained)], transform="ssa+gvn", check_semantics=True)
-    )
-    assert code == 0
-    assert reports[0]["asserts_total"] == 1
-    assert reports[0]["asserts_unproved"] == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{missing}"],
+        ["analyze", "{undecodable}"],
+        ["gen", "--config", "{missing}"],
+        ["gen", "--config", "{bad_config}"],
+        ["check-semantics", "{program}", "--depth", "-5"],
+        ["analyze", "{program}", "--check-semantics", "--depth", "0"],
+    ],
+    ids=["missing-file", "undecodable-file", "missing-config", "bad-config-value",
+         "negative-depth", "zero-depth"],
+)
+def test_malformed_input_exit_code(capsys, tmp_path, chained, argv):
+    undecodable = tmp_path / "undecodable.ir"
+    undecodable.write_bytes(b"\xff\xfeprocedure main() { L1: return; }")
+    bad_config = tmp_path / "gen.cfg"
+    bad_config.write_text("seed=seven\n", encoding="utf-8")
+    paths = {"missing": tmp_path / "missing.ir", "undecodable": undecodable,
+             "bad_config": bad_config, "program": chained}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1
+    assert "error" in err and "internal error" not in err
+    assert "equivalent" not in out

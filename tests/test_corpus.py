@@ -9,11 +9,9 @@ from nullgvn.corpus import (
     generate,
 )
 from nullgvn.gvn import do_gvn
-from nullgvn.ir import Assert, cfg_is_acyclic, validate
+from nullgvn.ir import Assert, Program, cfg_is_acyclic, validate
 from nullgvn.normalize import lift_loops
-from nullgvn.parse import print_program
-
-REPO = FsPath(__file__).resolve().parents[1]
+from nullgvn.parse import parse_program, print_program
 
 CORE = {
     "basic_interproc",
@@ -40,11 +38,35 @@ def test_bundled_programs_fresh_copies():
     assert a == b and a is not b
 
 
-def test_corpus_files_in_sync():
-    corpus_dir = REPO / "corpus"
+BUNDLED_NAMES = CORE | {
+    "assert_chain",
+    "call_invalidates_global_check",
+    "deep_field_chain",
+    "diamond_one_sided_check",
+    "global_check_no_call",
+    "loop_guarded_walk",
+    "loop_multi_exit",
+    "loop_nested",
+    "loop_self",
+    "merge_without_prior_mention",
+    "null_equality_assume",
+    "opaque_branching",
+    "self_referential_load",
+    "store_base_substitution",
+    "store_kill_across_blocks",
+    "tag_lookalike_names",
+}
+
+
+def test_packaged_programs_load_and_round_trip():
     sources = bundled_sources()
-    on_disk = {p.stem: p.read_text(encoding="utf-8") for p in corpus_dir.glob("*.ir")}
-    assert on_disk == sources
+    assert set(sources) == BUNDLED_NAMES - {"chained_field_equiv_rewritten"}
+    for name, text in sources.items():
+        program = parse_program(text, name)
+        assert isinstance(program, Program), name
+        assert validate(program) == [], name
+        assert parse_program(print_program(program), name) == program, name
+    assert set(bundled_programs()) == BUNDLED_NAMES and len(BUNDLED_NAMES) == 23
 
 
 def test_generator_golden_seed0():

@@ -236,3 +236,13 @@ def test_gvn_trace_equivalent_on_corpus(bundled):
         assert traces_equivalent(
             enumerate_traces(program, 64), enumerate_traces(out, 64)
         ), name
+
+
+def test_long_access_path_is_rewritten_without_recursion():
+    fields = ".f" * 3000
+    program = parse_ok(
+        f"procedure main() {{ var x; var y; L1: x := new(1); "
+        f"assume (x{fields[2:]} != Null); y := x{fields}; return; }}"
+    )
+    out = do_gvn(program)
+    assert out.procedures[0].blocks[0].stmts[-1] == Assign("y", Path("gvnTmp__gvn1", ("f",)))

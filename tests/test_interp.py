@@ -125,6 +125,35 @@ def test_projection_drops_value_preserving_reassignment():
     )
 
 
+# Both procedures reassign `a` on one arm only, so SSA puts the merge copy
+# `a__k := a` on the other arm. In `f` it copies the parameter's value, which
+# no statement assigned; in `main` it copies a value that `f`'s own `a` has
+# since overwritten by name.
+REASSIGNED_ON_ONE_ARM = """
+procedure f(a) {
+  L0: goto L1, L2;
+  L1: a := Null; a := new(2); goto L2;
+  L2: assert (a != Null); return;
+}
+procedure main() {
+  var a;
+  L0: a := new(1); call f(a); goto L1, L2;
+  L1: a := Null; a := new(3); goto L2;
+  L2: assert (a != Null); return;
+}
+"""
+
+
+def test_merge_copy_of_unchanged_value_is_a_reassign():
+    program = parse_ok(REASSIGNED_ON_ONE_ARM)
+    ssa = to_ssa(lift_loops(program))
+    before = enumerate_traces(program, 32)
+    after = enumerate_traces(ssa, 32)
+    assert any(ev[0] == "reassign" for t in after for ev in t)
+    assert traces_equivalent(before, after)
+    assert traces_equivalent(before, enumerate_traces(do_gvn(ssa), 32))
+
+
 def test_equivalence_reflexive(bundled):
     for program in bundled.values():
         t = enumerate_traces(program, 48)

@@ -10,12 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nullgvn.corpus import GeneratorConfig, generate
 from nullgvn.gvn import check_tagged_dominance, do_gvn
-from nullgvn.interp import (
-    check_solution_soundness,
-    enumerate_traces,
-    traces_diff,
-    traces_equivalent,
-)
+from nullgvn.interp import check_solution_soundness, enumerate_traces, traces_diff
 from nullgvn.normalize import lift_loops, to_ssa
 from nullgvn.solver import generate_constraints, solve_naive, solve_worklist
 
@@ -35,15 +30,17 @@ def main() -> int:
         transformed = do_gvn(ssa)
         reference = enumerate_traces(program, args.depth)
         for stage, prog in (("lift", lifted), ("ssa", ssa), ("gvn", transformed)):
-            if not traces_equivalent(reference, enumerate_traces(prog, args.depth)):
+            diff = traces_diff(reference, enumerate_traces(prog, args.depth))
+            if diff is not None:
                 print(f"seed {seed}: {stage} changed the trace set")
-                print(traces_diff(reference, enumerate_traces(prog, args.depth)))
+                print(diff)
                 failures += 1
         cons = generate_constraints(transformed)
-        if solve_naive(cons) != solve_worklist(cons):
+        solution = solve_worklist(cons)
+        if solve_naive(cons) != solution:
             print(f"seed {seed}: solvers disagree")
             failures += 1
-        if check_solution_soundness(transformed, solve_worklist(cons), args.depth // 2):
+        if check_solution_soundness(transformed, solution, args.depth // 2):
             print(f"seed {seed}: points-to solution is not an over-approximation")
             failures += 1
         if check_tagged_dominance(transformed):

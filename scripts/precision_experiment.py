@@ -23,7 +23,7 @@ def run_profile(name: str, density: float, count: int) -> None:
     regressions = 0
     for seed in range(count):
         program = generate(GeneratorConfig(seed=seed, null_check_density=density))
-        ssa, gvn = analyze_levels(program, "worklist")
+        ssa, gvn = analyze_levels(program)
         asserts += ssa.total
         ssa_unproved += ssa.unproved
         gvn_unproved += gvn.unproved

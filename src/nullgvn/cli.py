@@ -72,10 +72,10 @@ def _check_semantics(original, transformed, depth: int, dump: str | None) -> boo
         with open(dump, "w", encoding="utf-8") as fp:
             interp.dump_traces_jsonl(a, fp)
             interp.dump_traces_jsonl(b, fp)
-    ok = interp.traces_equivalent(a, b)
-    if not ok:
-        print(interp.traces_diff(a, b), file=sys.stderr)
-    return ok
+    diff = interp.traces_diff(a, b)
+    if diff is not None:
+        print(diff, file=sys.stderr)
+    return diff is None
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -85,7 +85,7 @@ def cmd_analyze(args) -> int:
     t0 = time.monotonic()
     program = _load(args.file)
     parse_ms = (time.monotonic() - t0) * 1000.0
-    result = pipeline.analyze_program(program, args.transform, args.solver, parse_ms)
+    result = pipeline.analyze_program(program, args.transform, parse_ms)
     if args.check_semantics:
         if not _check_semantics(program, result.transformed, args.depth, None):
             print("semantics check FAILED", file=sys.stderr)
@@ -115,15 +115,26 @@ def cmd_check_semantics(args) -> int:
     return EXIT_DIAGNOSTICS
 
 
+CONFIG_KEYS = (
+    "seed", "max_procs", "max_blocks", "max_stmts", "null_check_density", "loop_prob",
+    *(f"weight_{kind}" for kind in corpus.DEFAULT_WEIGHTS),
+)
+
+
 def _config_from_args(args) -> corpus.GeneratorConfig:
     values: dict[str, str] = {}
     if args.config:
-        for raw in _read(args.config).splitlines():
+        for number, raw in enumerate(_read(args.config).splitlines(), 1):
             line = raw.split("//")[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq or key not in CONFIG_KEYS:
+                problem = f"unknown key '{key}'" if eq else f"expected key=value, got '{line}'"
+                raise InputError(
+                    [Diagnostic("error", f"line {number}: {problem}", where=args.config)]
+                )
+            values[key] = value
     try:
         weights = dict(corpus.DEFAULT_WEIGHTS)
         for key, value in values.items():
@@ -156,9 +167,9 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _report_row(path: FsPath, solver_kind: str) -> dict:
+def _report_row(path: FsPath) -> dict:
     program = _load(str(path))
-    ssa, gvn = pipeline.analyze_levels(program, solver_kind)
+    ssa, gvn = pipeline.analyze_levels(program)
     return {
         "bench": path.stem,
         "procs": len(program.procedures),
@@ -177,7 +188,7 @@ def cmd_report(args) -> int:
     if not files:
         print(f"no .ir files under {root}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    rows = [_report_row(path, args.solver) for path in files]
+    rows = [_report_row(path) for path in files]
     if args.format == "json":
         _emit(json.dumps(rows, indent=2) + "\n", None)
         return EXIT_OK
@@ -218,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze one program and report assert safety")
     p.add_argument("file")
     p.add_argument("--transform", choices=pipeline.TRANSFORM_LEVELS, default="ssa+gvn")
-    p.add_argument("--solver", choices=pipeline.SOLVERS, default="worklist")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--check-semantics", action="store_true",
                    help="also verify trace equivalence of the transformation")
@@ -252,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate table over a corpus directory")
     p.add_argument("directory")
-    p.add_argument("--solver", choices=pipeline.SOLVERS, default="worklist")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_report)
 

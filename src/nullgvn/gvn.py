@@ -11,7 +11,6 @@ temporary that carries the same value.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import re
 
@@ -59,7 +58,7 @@ def _harvest(cond) -> Path | None:
 def insert_tagged_assignments(program: Program) -> Program:
     """After each non-null assume/assert, assign the checked expression to a
     fresh tagged variable. Returns a new program; nothing else changes."""
-    prog = copy.deepcopy(program)
+    prog = program.clone()
     counter = itertools.count(_next_tag_index(prog))
     for proc in prog.procedures:
         for block in proc.blocks:

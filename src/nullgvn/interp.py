@@ -396,35 +396,29 @@ def _compatible(x: tuple, y: tuple) -> bool:
     return xe == ye[: len(xe)] or ye == xe[: len(ye)]
 
 
-def traces_equivalent(a, b, keep=None) -> bool:
-    """Set equivalence of projected traces.
+def traces_diff(a, b, keep=None) -> str | None:
+    """Human-readable witness of non-equivalence, or None when the projected
+    trace sets are equivalent.
 
     Complete traces must match exactly. A truncated trace matches anything
     it is a prefix of: transformations change statement counts, so the
-    budget runs out at different logical points on the two sides.
+    budget runs out at different logical points on the two sides. A trace
+    present on both sides matches itself, so only the set differences need
+    the quadratic prefix search; the witness is the unmatched trace first
+    in repr order.
     """
     pa = {project_trace(t, keep) for t in a}
     pb = {project_trace(t, keep) for t in b}
-    if pa == pb:
-        return True
-    # Exact matches are trivially compatible; only the remainder needs the
-    # quadratic prefix search.
-    return all(any(_compatible(x, y) for y in pb) for x in pa - pb) and all(
-        any(_compatible(x, y) for x in pa) for y in pb - pa
-    )
-
-
-def traces_diff(a, b, keep=None) -> str | None:
-    """Human-readable witness of non-equivalence, or None."""
-    pa = {project_trace(t, keep) for t in a}
-    pb = {project_trace(t, keep) for t in b}
-    for x in sorted(pa, key=repr):
-        if not any(_compatible(x, y) for y in pb):
-            return f"trace only on the left side:\n  {x}"
-    for y in sorted(pb, key=repr):
-        if not any(_compatible(x, y) for x in pa):
-            return f"trace only on the right side:\n  {y}"
+    for side, extra, other in (("left", pa - pb, pb), ("right", pb - pa, pa)):
+        unmatched = [x for x in extra if not any(_compatible(x, y) for y in other)]
+        if unmatched:
+            return f"trace only on the {side} side:\n  {min(unmatched, key=repr)}"
     return None
+
+
+def traces_equivalent(a, b, keep=None) -> bool:
+    """Set equivalence of projected traces; see traces_diff."""
+    return traces_diff(a, b, keep) is None
 
 
 def dump_traces_jsonl(traces, fp) -> None:

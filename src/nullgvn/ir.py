@@ -183,6 +183,17 @@ class Program:
     def proc_map(self) -> dict[str, Procedure]:
         return {p.name: p for p in self.procedures}
 
+    def clone(self) -> "Program":
+        """A copy a pass may rewrite in place: fresh lists, blocks and
+        procedures, sharing the frozen statements and transfers."""
+        procedures = [
+            Procedure(p.name, list(p.params), list(p.returns), list(p.locals),
+                      [Block(b.label, list(b.stmts), b.transfer) for b in p.blocks],
+                      p.entry_block)
+            for p in self.procedures
+        ]
+        return Program(list(self.globals), procedures, self.entry)
+
 
 @dataclass(frozen=True)
 class Diagnostic:

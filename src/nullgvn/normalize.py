@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import heapq
 
 from .ir import (
@@ -217,10 +216,10 @@ def _lift_one(program: Program, proc: Procedure, header: str, latches: list[str]
         if v in mentioned and v not in params and v not in returns
     ]
 
-    lifted_blocks = [copy.deepcopy(block_map[header])]
-    lifted_blocks += [
-        copy.deepcopy(b) for b in proc.blocks if b.label in region and b.label != header
+    region_blocks = [block_map[header]] + [
+        b for b in proc.blocks if b.label in region and b.label != header
     ]
+    lifted_blocks = [Block(b.label, list(b.stmts), b.transfer) for b in region_blocks]
     lifted_labels = {b.label for b in lifted_blocks}
     rec_label = _fresh("rec", set(lifted_labels))
     rec_call = Call(tuple(returns), new_name, tuple(params))
@@ -270,7 +269,7 @@ def lift_loops(program: Program) -> Program:
     Afterwards every procedure's CFG is acyclic. Irreducible control flow
     (a cycle with no dominating header) is rejected with a diagnostic.
     """
-    prog = copy.deepcopy(program)
+    prog = program.clone()
     budget = 10_000
     while True:
         todo = None
@@ -332,7 +331,7 @@ def to_ssa(program: Program) -> Program:
     copy itself could read a variable that one incoming path never
     assigned. Globals are never renamed, their dataflow crosses procedures.
     """
-    prog = copy.deepcopy(program)
+    prog = program.clone()
     globals_ = set(prog.globals)
     for proc in prog.procedures:
         _ssa_proc(proc, globals_)

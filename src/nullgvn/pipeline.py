@@ -10,12 +10,10 @@ from . import normalize, solver
 from .ir import Program
 
 TRANSFORM_LEVELS = ("none", "ssa", "ssa+gvn")
-SOLVERS = ("naive", "worklist")
 
 
 @dataclass
 class PipelineResult:
-    program: Program              # as parsed
     transformed: Program          # after the requested transform level
     report: solver.SafetyReport
 
@@ -46,41 +44,31 @@ def transform_program(program: Program, level: str) -> tuple[Program, dict[str, 
 
 
 def _solve(
-    transformed: Program, solver_kind: str, parse_ms: float, timings: dict[str, float]
+    transformed: Program, parse_ms: float, timings: dict[str, float]
 ) -> solver.SafetyReport:
-    if solver_kind not in SOLVERS:
-        raise ValueError(f"unknown solver {solver_kind!r}")
     t0 = time.monotonic()
     constraints = solver.generate_constraints(transformed)
-    if solver_kind == "naive":
-        solution = solver.solve_naive(constraints)
-    else:
-        solution = solver.solve_worklist(constraints)
+    solution = solver.solve_worklist(constraints)
     report = solver.classify_assertions(transformed, solution)
     report.timings_ms = {"parse": parse_ms, **timings, "solve": _ms(t0)}
     return report
 
 
 def analyze_program(
-    program: Program,
-    transform: str = "ssa+gvn",
-    solver_kind: str = "worklist",
-    parse_ms: float = 0.0,
+    program: Program, transform: str = "ssa+gvn", parse_ms: float = 0.0
 ) -> PipelineResult:
     transformed, timings = transform_program(program, transform)
-    return PipelineResult(program, transformed, _solve(transformed, solver_kind, parse_ms, timings))
+    return PipelineResult(transformed, _solve(transformed, parse_ms, timings))
 
 
-def analyze_levels(
-    program: Program, solver_kind: str = "worklist"
-) -> tuple[solver.SafetyReport, solver.SafetyReport]:
+def analyze_levels(program: Program) -> tuple[solver.SafetyReport, solver.SafetyReport]:
     """The `ssa` and `ssa+gvn` reports of one program, the paper's two
     levels. Lifting and renaming run once: do_gvn copies its input, so both
     levels start from the same SSA program, and both reports' timings
     include that shared lift and ssa time."""
     ssa, timings = transform_program(program, "ssa")
-    ssa_report = _solve(ssa, solver_kind, 0.0, timings)
+    ssa_report = _solve(ssa, 0.0, timings)
     t0 = time.monotonic()
     transformed = gvn_mod.do_gvn(ssa)
     gvn_timings = {**timings, "gvn": _ms(t0)}
-    return ssa_report, _solve(transformed, solver_kind, 0.0, gvn_timings)
+    return ssa_report, _solve(transformed, 0.0, gvn_timings)

@@ -7,9 +7,9 @@ base facts, copies are subset edges, field reads/writes are conditional
 edges through (site, field) cells. Calls become parameter and return
 copies. Variables are namespaced per procedure; globals share one node.
 
-Tagged variables never admit the Null site: the filter runs inside the
-fixpoint (equivalently, at every insertion), which stops Null from
-propagating through them.
+Tagged variables never admit the Null site: constraint generation records
+their nodes once, and the filter runs inside the fixpoint (equivalently, at
+every insertion), which stops Null from propagating through them.
 
 A field read can also observe a field that was never written, which
 evaluates to Null at runtime, so every read contributes the Null site to
@@ -44,16 +44,13 @@ def var_key(proc_name: str | None, name: str, globals_: set[str]) -> str:
     return f"{proc_name}::{name}"
 
 
-def _key_is_tagged(key: str) -> bool:
-    return is_tagged(key.rsplit("::", 1)[-1])
-
-
 @dataclass
 class Constraints:
     base: list[tuple[str, int]] = field(default_factory=list)          # site in pt(x)
     copies: list[tuple[str, str]] = field(default_factory=list)        # pt(src) <= pt(dst)
     loads: list[tuple[str, str, str]] = field(default_factory=list)    # x := base.f
     stores: list[tuple[str, str, str]] = field(default_factory=list)   # base.f := src
+    tagged: set[str] = field(default_factory=set)                      # never admit Null
 
 
 def generate_constraints(program: Program, disable_rule: str | None = None) -> Constraints:
@@ -63,6 +60,12 @@ def generate_constraints(program: Program, disable_rule: str | None = None) -> C
         raise ValueError(f"unknown rule {disable_rule!r}")
     globals_ = set(program.globals)
     cons = Constraints()
+    cons.tagged = {g for g in program.globals if is_tagged(g)} | {
+        var_key(proc.name, v, globals_)
+        for proc in program.procedures
+        for v in proc.scope_vars()
+        if is_tagged(v)
+    }
     temp_count = 0
 
     def on(rule: str) -> bool:
@@ -162,9 +165,10 @@ def solve_naive(constraints: Constraints, schedule: str = "per_statement") -> Po
     sol = PointsToSolution()
     var_pt, field_pt = sol.var_pt, sol.field_pt
     per_stmt = schedule == "per_statement"
+    tagged = constraints.tagged
 
     def add_var(key: str, sites: set[int]) -> None:
-        if per_stmt and _key_is_tagged(key):
+        if per_stmt and key in tagged:
             sites = sites - {NULL_SITE}
         var_pt.setdefault(key, set()).update(sites)
 
@@ -196,7 +200,7 @@ def solve_naive(constraints: Constraints, schedule: str = "per_statement") -> Po
                 field_pt.setdefault((site, fname), set()).update(var_pt[src])
         if not per_stmt:
             for key in var_pt:
-                if _key_is_tagged(key):
+                if key in tagged:
                     var_pt[key].discard(NULL_SITE)
         new = snapshot()
         if new == old:
@@ -213,14 +217,11 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
     load_index: dict[object, list[tuple[str, object]]] = {}
     store_index: dict[object, list[tuple[str, object]]] = {}
     work: list[tuple[object, set[int]]] = []
-
-    def filtered(node: object, sites: set[int]) -> set[int]:
-        if isinstance(node, str) and _key_is_tagged(node):
-            return sites - {NULL_SITE}
-        return sites
+    tagged = constraints.tagged
 
     def add(node: object, sites: set[int]) -> None:
-        sites = filtered(node, sites)
+        if node in tagged:
+            sites = sites - {NULL_SITE}
         cur = pt.setdefault(node, set())
         delta = sites - cur
         if delta:

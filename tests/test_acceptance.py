@@ -89,7 +89,7 @@ def test_criterion_1_golden_listings(corpus_all):
 
 
 def _unproved(program, level):
-    return analyze_program(program, level, "worklist").report.unproved
+    return analyze_program(program, level).report.unproved
 
 
 def test_criterion_2_precision_flips(corpus_all):
@@ -245,8 +245,8 @@ def test_criterion_8_effect_direction(generated):
     gvn_phase_ms = 0.0
     for seed in range(100):
         program = generated[seed][0]
-        ssa_result = analyze_program(program, "ssa", "worklist")
-        gvn_result = analyze_program(program, "ssa+gvn", "worklist")
+        ssa_result = analyze_program(program, "ssa")
+        gvn_result = analyze_program(program, "ssa+gvn")
         if gvn_result.report.unproved > ssa_result.report.unproved:
             per_program_ok = False
         ssa_unproved += ssa_result.report.unproved

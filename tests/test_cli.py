@@ -142,19 +142,26 @@ def test_missing_corpus_dir(capsys, tmp_path):
         ["analyze", "{undecodable}"],
         ["gen", "--config", "{missing}"],
         ["gen", "--config", "{bad_config}"],
+        ["gen", "--config", "{unknown_key}"],
+        ["gen", "--config", "{no_equals}"],
+        ["gen", "--config", "{unknown_weight}"],
         ["check-semantics", "{program}", "--depth", "-5"],
         ["analyze", "{program}", "--check-semantics", "--depth", "0"],
     ],
     ids=["missing-file", "undecodable-file", "missing-config", "bad-config-value",
+         "unknown-config-key", "config-line-without-equals", "unknown-config-weight",
          "negative-depth", "zero-depth"],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, chained, argv):
     undecodable = tmp_path / "undecodable.ir"
     undecodable.write_bytes(b"\xff\xfeprocedure main() { L1: return; }")
-    bad_config = tmp_path / "gen.cfg"
-    bad_config.write_text("seed=seven\n", encoding="utf-8")
     paths = {"missing": tmp_path / "missing.ir", "undecodable": undecodable,
-             "bad_config": bad_config, "program": chained}
+             "program": chained}
+    configs = {"bad_config": "seed=seven", "unknown_key": "max_proc=9",
+               "no_equals": "seed=3\nmax_procs 9", "unknown_weight": "weight_bogus=1"}
+    for key, text in configs.items():
+        paths[key] = tmp_path / f"{key}.cfg"
+        paths[key].write_text(text + "\n", encoding="utf-8")
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 1
     assert "error" in err and "internal error" not in err

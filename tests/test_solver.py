@@ -13,6 +13,7 @@ from nullgvn.ir import (
     Program,
     Return,
     NULL_SITE,
+    is_tagged,
 )
 from nullgvn.normalize import lift_loops, to_ssa
 from nullgvn.solver import (
@@ -22,6 +23,7 @@ from nullgvn.solver import (
     generate_constraints,
     solve_naive,
     solve_worklist,
+    var_key,
 )
 
 from conftest import parse_ok
@@ -92,6 +94,24 @@ def test_empty_program_empty_solution():
     assert sol.var_pt == {} and sol.field_pt == {}
 
 
+def test_constraints_record_tagged_keys(bundled):
+    recorded = 0
+    for name, program in bundled.items():
+        out = full(program)
+        globals_ = set(out.globals)
+        expected = {g for g in globals_ if is_tagged(g)} | {
+            var_key(proc.name, v, globals_)
+            for proc in out.procedures
+            for v in proc.scope_vars()
+            if is_tagged(v)
+        }
+        assert generate_constraints(out).tagged == expected, name
+        recorded += len(expected)
+    assert recorded
+    program = parse_ok("var g__gvn1; procedure main() { L1: g__gvn1 := Null; return; }")
+    assert generate_constraints(program).tagged == {"g__gvn1"}
+
+
 def test_tagged_filter_strips_null(bundled):
     out = full(bundled["guarded_copy"])
     sol = solve_naive(generate_constraints(out))
@@ -99,6 +119,16 @@ def test_tagged_filter_strips_null(bundled):
     assert tagged
     for key in tagged:
         assert NULL_SITE not in sol.pt(key)
+    for name, program in bundled.items():
+        cons = generate_constraints(full(program))
+        for sol in (
+            solve_worklist(cons),
+            solve_naive(cons, schedule="per_statement"),
+            solve_naive(cons, schedule="per_iteration"),
+        ):
+            for key, sites in sol.var_pt.items():
+                if is_tagged(key.rsplit("::", 1)[-1]):
+                    assert NULL_SITE not in sites, (name, key)
 
 
 def test_ssa_split_isolates_null(bundled):

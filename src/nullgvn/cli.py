@@ -7,6 +7,7 @@ import json
 import sys
 import time
 from pathlib import Path as FsPath
+from typing import TextIO
 
 from . import corpus, interp, normalize, pipeline
 from .ir import Diagnostic
@@ -25,14 +26,27 @@ class InputError(Exception):
         self.diagnostics = diagnostics
 
 
+def _file_error(path: str, exc: Exception) -> InputError:
+    """`path: error: <reason>` for a file that cannot be read or written."""
+    reason = getattr(exc, "strerror", None) or str(exc)
+    return InputError([Diagnostic("error", reason, where=path)])
+
+
 def _read(path: str) -> str:
     """The text of a UTF-8 file; every input file is read here."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             return fp.read()
     except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or str(exc)
-        raise InputError([Diagnostic("error", reason, where=path)]) from exc
+        raise _file_error(path, exc) from exc
+
+
+def _open_output(path: str) -> TextIO:
+    """Open a UTF-8 file for writing; every output file is opened here."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _file_error(path, exc) from exc
 
 
 def _load(path: str):
@@ -47,7 +61,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fp:
+        with _open_output(out) as fp:
             fp.write(text)
 
 
@@ -55,10 +69,9 @@ def _report_text(name: str, report) -> str:
     lines = [f"{name}: {report.unproved} of {report.total} asserts not proved safe"]
     for a in report.per_assert:
         lines.append(f"  {a.proc}/{a.block}[{a.index}] assert {a.cond}: {a.verdict}")
-    t = report.timings_ms
     lines.append(
         "  timings_ms: "
-        + " ".join(f"{k}={t.get(k, 0.0):.2f}" for k in ("parse", "lift", "ssa", "gvn", "solve"))
+        + " ".join(f"{k}={ms:.2f}" for k, ms in report.timings_ms.items())
     )
     return "\n".join(lines) + "\n"
 
@@ -69,7 +82,7 @@ def _check_semantics(original, transformed, depth: int, dump: str | None) -> boo
     a = interp.enumerate_traces(original, depth)
     b = interp.enumerate_traces(transformed, depth)
     if dump:
-        with open(dump, "w", encoding="utf-8") as fp:
+        with _open_output(dump) as fp:
             interp.dump_traces_jsonl(a, fp)
             interp.dump_traces_jsonl(b, fp)
     diff = interp.traces_diff(a, b)

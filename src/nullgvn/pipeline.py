@@ -48,9 +48,16 @@ def _solve(
 ) -> solver.SafetyReport:
     t0 = time.monotonic()
     constraints = solver.generate_constraints(transformed)
+    constraints_ms = _ms(t0)
+    t0 = time.monotonic()
     solution = solver.solve_worklist(constraints)
+    solve_ms = _ms(t0)
+    t0 = time.monotonic()
     report = solver.classify_assertions(transformed, solution)
-    report.timings_ms = {"parse": parse_ms, **timings, "solve": _ms(t0)}
+    report.timings_ms = {
+        "parse": parse_ms, **timings,
+        "constraints": constraints_ms, "solve": solve_ms, "classify": _ms(t0),
+    }
     return report
 
 

@@ -19,6 +19,7 @@ its target in addition to the conditional rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .ir import (
     Alloc,
@@ -208,61 +209,99 @@ def solve_naive(constraints: Constraints, schedule: str = "per_statement") -> Po
         old = new
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _sites(bits: int) -> list[int]:
+    """The set bits of a points-to bitset, lowest first: bit i is site i."""
+    digits = bin(bits)[:1:-1].encode().translate(_BIT_BYTES)  # 0/1 bytes, bit 0 first
+    return list(compress(range(len(digits)), digits))
+
+
 def solve_worklist(constraints: Constraints) -> PointsToSolution:
     """Constraint-graph solver with difference propagation; same least
-    fixpoint as solve_naive, much faster on long copy chains."""
-    pt: dict[object, set[int]] = {}
-    edges: dict[object, list[object]] = {}
-    edge_set: set[tuple[object, object]] = set()
-    load_index: dict[object, list[tuple[str, object]]] = {}
-    store_index: dict[object, list[tuple[str, object]]] = {}
-    work: list[tuple[object, set[int]]] = []
+    fixpoint as solve_naive, much faster on long copy chains.
+
+    Every var key and every (site, field) cell is interned to a dense node
+    id; a cell when a load or store first reaches it. A points-to set is an
+    int bitset (bit i for site i), and each node has an admit mask that
+    clears the Null bit on tagged keys, so the filter runs at every
+    insertion. Each node carries one pending delta and sits on the worklist
+    at most once: it is pushed only when that delta turns non-zero. Copy
+    edges pass the whole delta with one `|`; only load and store bases walk
+    its sites.
+    """
+    ids: dict[object, int] = {}
+    pts: list[int] = []
+    pending: list[int] = []
+    mask: list[int] = []
+    succ: list[set[int]] = []
+    loads: dict[int, list[tuple[str, int]]] = {}
+    stores: dict[int, list[tuple[str, int]]] = {}
+    work: list[int] = []
     tagged = constraints.tagged
+    no_null = ~(1 << NULL_SITE)
 
-    def add(node: object, sites: set[int]) -> None:
-        if node in tagged:
-            sites = sites - {NULL_SITE}
-        cur = pt.setdefault(node, set())
-        delta = sites - cur
-        if delta:
-            cur |= delta
-            work.append((node, delta))
+    def node(key: object) -> int:
+        n = ids.get(key)
+        if n is None:
+            n = ids[key] = len(pts)
+            pts.append(0)
+            pending.append(0)
+            mask.append(no_null if key in tagged else -1)
+            succ.append(set())
+        return n
 
-    def add_edge(src: object, dst: object) -> None:
-        if (src, dst) in edge_set:
-            return
-        edge_set.add((src, dst))
-        edges.setdefault(src, []).append(dst)
-        if pt.get(src):
-            add(dst, pt[src])
+    def add(n: int, bits: int) -> None:
+        new = bits & mask[n] & ~pts[n]
+        if new:
+            pts[n] |= new
+            if not pending[n]:
+                work.append(n)
+            pending[n] |= new
+
+    def add_edge(src: int, dst: int) -> None:
+        out = succ[src]
+        if dst not in out:
+            out.add(dst)
+            if pts[src]:
+                add(dst, pts[src])
 
     for base, fname, dst in constraints.loads:
-        load_index.setdefault(base, []).append((fname, dst))
+        loads.setdefault(node(base), []).append((fname, node(dst)))
     for base, fname, src in constraints.stores:
-        store_index.setdefault(base, []).append((fname, src))
+        stores.setdefault(node(base), []).append((fname, node(src)))
     for src, dst in constraints.copies:
-        add_edge(src, dst)
+        add_edge(node(src), node(dst))
     for key, site in constraints.base:
-        add(key, {site})
+        add(node(key), 1 << site)
 
     while work:
-        node, delta = work.pop()
-        for fname, dst in load_index.get(node, ()):
-            for site in delta:
-                add_edge((site, fname), dst)
-        for fname, src in store_index.get(node, ()):
-            for site in delta:
-                add_edge(src, (site, fname))
-        for dst in edges.get(node, ()):
-            add(dst, delta)
+        n = work.pop()
+        delta = pending[n]
+        pending[n] = 0
+        if n in loads or n in stores:
+            sites = _sites(delta)
+            for fname, dst in loads.get(n, ()):
+                for site in sites:
+                    add_edge(node((site, fname)), dst)
+            for fname, src in stores.get(n, ()):
+                for site in sites:
+                    add_edge(src, node((site, fname)))
+        for dst in succ[n]:  # add(dst, delta), inlined: the hot loop
+            new = delta & mask[dst] & ~pts[dst]
+            if new:
+                pts[dst] |= new
+                if not pending[dst]:
+                    work.append(dst)
+                pending[dst] |= new
 
     sol = PointsToSolution()
-    for node, sites in pt.items():
-        if isinstance(node, tuple):
-            sol.field_pt[node] = sites
-        else:
-            sol.var_pt[node] = sites
-    return sol.pruned()
+    for target, kind in ((sol.var_pt, str), (sol.field_pt, tuple)):
+        for key in sorted(k for k in ids if isinstance(k, kind)):
+            if pts[ids[key]]:
+                target[key] = set(_sites(pts[ids[key]]))
+    return sol
 
 
 # ---------------------------------------------------------------------------

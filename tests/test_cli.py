@@ -1,7 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path as FsPath
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nullgvn import corpus
 from nullgvn.cli import main
@@ -29,7 +32,9 @@ def test_analyze_json_schema(capsys, chained):
     data = json.loads(out)
     assert data["asserts_total"] == 1
     assert data["asserts_unproved"] == 0
-    assert set(data["timings_ms"]) == {"parse", "lift", "ssa", "gvn", "solve"}
+    assert set(data["timings_ms"]) == {
+        "parse", "lift", "ssa", "gvn", "constraints", "solve", "classify"
+    }
 
 
 def test_analyze_levels_flip_verdict(capsys, chained):
@@ -40,8 +45,13 @@ def test_analyze_levels_flip_verdict(capsys, chained):
 
 
 def test_analyze_check_semantics(capsys, chained):
-    code, _, err = run(capsys, "analyze", chained, "--check-semantics", "--depth", "64")
+    code, out, err = run(capsys, "analyze", chained, "--check-semantics", "--depth", "64")
     assert code == 0, err
+    label, timings = out.splitlines()[-1].split(":", 1)
+    assert label.strip() == "timings_ms"
+    assert [t.split("=")[0] for t in timings.split()] == [
+        "parse", "lift", "ssa", "gvn", "constraints", "solve", "classify"
+    ]
 
 
 def test_emit_transformed_decouples(capsys, tmp_path, chained):
@@ -147,16 +157,20 @@ def test_missing_corpus_dir(capsys, tmp_path):
         ["gen", "--config", "{unknown_weight}"],
         ["check-semantics", "{program}", "--depth", "-5"],
         ["analyze", "{program}", "--check-semantics", "--depth", "0"],
+        ["transform", "{program}", "-o", "{unwritable}"],
+        ["analyze", "{program}", "--emit-transformed", "{unwritable}"],
+        ["check-semantics", "{program}", "--dump-traces", "{unwritable}"],
     ],
     ids=["missing-file", "undecodable-file", "missing-config", "bad-config-value",
          "unknown-config-key", "config-line-without-equals", "unknown-config-weight",
-         "negative-depth", "zero-depth"],
+         "negative-depth", "zero-depth", "unwritable-transform-output",
+         "unwritable-emit-transformed", "unwritable-trace-dump"],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, chained, argv):
     undecodable = tmp_path / "undecodable.ir"
     undecodable.write_bytes(b"\xff\xfeprocedure main() { L1: return; }")
     paths = {"missing": tmp_path / "missing.ir", "undecodable": undecodable,
-             "program": chained}
+             "program": chained, "unwritable": tmp_path / "no-such-dir" / "out"}
     configs = {"bad_config": "seed=seven", "unknown_key": "max_proc=9",
                "no_equals": "seed=3\nmax_procs 9", "unknown_weight": "weight_bogus=1"}
     for key, text in configs.items():
@@ -166,3 +180,28 @@ def test_malformed_input_exit_code(capsys, tmp_path, chained, argv):
     assert code == 1
     assert "error" in err and "internal error" not in err
     assert "equivalent" not in out
+
+
+@st.composite
+def mutated_program(draw):
+    """A bundled program with one short span replaced by arbitrary text."""
+    src = draw(st.sampled_from(sorted(bundled_sources().values())))
+    start = draw(st.integers(0, len(src)))
+    end = draw(st.integers(start, min(len(src), start + 20)))
+    return src[:start] + draw(st.text(max_size=10)) + src[end:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(
+    st.binary(),
+    st.text().map(str.encode),
+    mutated_program().map(str.encode),
+))
+def test_arbitrary_input_never_internal_error(tmp_path_factory, data):
+    """Whatever the file holds, analyze gives a verdict or a diagnostic."""
+    path = tmp_path_factory.getbasetemp() / "fuzz-input.ir"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["analyze", str(path), "--check-semantics", "--depth", "8"])
+    assert code in (0, 1), err.getvalue()

@@ -19,6 +19,7 @@ from nullgvn.normalize import lift_loops, to_ssa
 from nullgvn.solver import (
     SAFE,
     UNPROVED,
+    Constraints,
     classify_assertions,
     generate_constraints,
     solve_naive,
@@ -153,6 +154,52 @@ def test_worklist_matches_naive_generated(seed):
     assert solve_naive(cons) == solve_worklist(cons)
 
 
+@st.composite
+def hand_built_constraints(draw):
+    """Small constraint sets the generator would not write: 2-6 var keys
+    with a random tagged subset, 1-4 sites plus Null, 1-2 fields, a copy
+    cycle among random copies, and a load and a store on one shared base."""
+    keys = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
+    sites = [NULL_SITE, *range(1, draw(st.integers(1, 4)) + 1)]
+    fields = ["f", "g"][: draw(st.integers(1, 2))]
+    key, site, fname = st.sampled_from(keys), st.sampled_from(sites), st.sampled_from(fields)
+    cycle = draw(st.lists(key, min_size=2, max_size=4))
+    shared = draw(key)
+    return Constraints(
+        base=draw(st.lists(st.tuples(key, site), min_size=1, max_size=8)),
+        copies=list(zip(cycle, cycle[1:] + cycle[:1]))
+        + draw(st.lists(st.tuples(key, key), max_size=8)),
+        loads=[(shared, draw(fname), draw(key))]
+        + draw(st.lists(st.tuples(key, fname, key), max_size=4)),
+        stores=[(shared, draw(fname), draw(key))]
+        + draw(st.lists(st.tuples(key, fname, key), max_size=4)),
+        tagged=draw(st.sets(key)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(cons=hand_built_constraints())
+def test_worklist_matches_naive_hand_built(cons):
+    assert solve_worklist(cons) == solve_naive(cons)
+
+
+def test_tagged_node_in_null_copy_cycle():
+    """Null enters a copy cycle a -> t -> b -> a at a; the tagged t stops it,
+    so b only sees what passes through t, and a keeps its own Null."""
+    cons = Constraints(
+        base=[("a", NULL_SITE), ("a", 1), ("s", 2)],
+        copies=[("a", "t"), ("t", "b"), ("b", "a")],
+        loads=[("b", "f", "x")],
+        stores=[("t", "f", "s")],
+        tagged={"t"},
+    )
+    sol = solve_worklist(cons)
+    assert sol == solve_naive(cons)
+    assert sol.pt("a") == {NULL_SITE, 1}
+    assert sol.pt("t") == sol.pt("b") == {1}
+    assert sol.pt_field(1, "f") == {2} and sol.pt("x") == {2}
+
+
 def test_filter_schedules_can_differ(bundled):
     """The in-loop filter is strictly stronger: filtering once per pass lets
     Null transit a tagged variable inside a single pass."""
@@ -204,12 +251,15 @@ def test_report_json_schema():
     )
     sol = solve_worklist(generate_constraints(program))
     report = classify_assertions(program, sol)
-    report.timings_ms = {"parse": 0.1, "lift": 0.0, "ssa": 0.0, "gvn": 0.0, "solve": 0.2}
+    report.timings_ms = {"parse": 0.1, "lift": 0.0, "ssa": 0.0, "gvn": 0.0,
+                         "constraints": 0.1, "solve": 0.2, "classify": 0.1}
     data = report.to_json_dict()
     assert set(data) == {"asserts_total", "asserts_unproved", "per_assert", "timings_ms"}
     assert data["asserts_total"] == 1 and data["asserts_unproved"] == 0
     assert set(data["per_assert"][0]) == {"proc", "block", "index", "verdict"}
-    assert set(data["timings_ms"]) == {"parse", "lift", "ssa", "gvn", "solve"}
+    assert set(data["timings_ms"]) == {
+        "parse", "lift", "ssa", "gvn", "constraints", "solve", "classify"
+    }
 
 
 # -- performance smoke -------------------------------------------------------------

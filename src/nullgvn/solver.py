@@ -212,10 +212,10 @@ def solve_naive(constraints: Constraints, schedule: str = "per_statement") -> Po
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _sites(bits: int) -> list[int]:
-    """The set bits of a points-to bitset, lowest first: bit i is site i."""
+def _sites(bits: int, bit_site: list[int]) -> list[int]:
+    """The sites of a points-to bitset, lowest bit first: bit i is bit_site[i]."""
     digits = bin(bits)[:1:-1].encode().translate(_BIT_BYTES)  # 0/1 bytes, bit 0 first
-    return list(compress(range(len(digits)), digits))
+    return list(compress(bit_site, digits))
 
 
 def solve_worklist(constraints: Constraints) -> PointsToSolution:
@@ -223,11 +223,12 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
     fixpoint as solve_naive, much faster on long copy chains.
 
     Every var key and every (site, field) cell is interned to a dense node
-    id; a cell when a load or store first reaches it. A points-to set is an
-    int bitset (bit i for site i), and each node has an admit mask that
-    clears the Null bit on tagged keys, so the filter runs at every
-    insertion. Each node carries one pending delta and sits on the worklist
-    at most once: it is pushed only when that delta turns non-zero. Copy
+    id; a cell when a load or store first reaches it. Sites are numbered
+    densely too, in ascending order (site ids need not be small), and a
+    points-to set is an int bitset over those numbers. Each node has an
+    admit mask that clears the Null bit on tagged keys, so the filter runs
+    at every insertion. Each node carries one pending delta and sits on the
+    worklist at most once: it is pushed only when that delta turns non-zero. Copy
     edges pass the whole delta with one `|`; only load and store bases walk
     its sites.
     """
@@ -240,7 +241,9 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
     stores: dict[int, list[tuple[str, int]]] = {}
     work: list[int] = []
     tagged = constraints.tagged
-    no_null = ~(1 << NULL_SITE)
+    bit_site = sorted({NULL_SITE, *(site for _, site in constraints.base)})
+    site_bit = {site: i for i, site in enumerate(bit_site)}
+    no_null = ~(1 << site_bit[NULL_SITE])
 
     def node(key: object) -> int:
         n = ids.get(key)
@@ -274,33 +277,28 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
     for src, dst in constraints.copies:
         add_edge(node(src), node(dst))
     for key, site in constraints.base:
-        add(node(key), 1 << site)
+        add(node(key), 1 << site_bit[site])
 
     while work:
         n = work.pop()
         delta = pending[n]
         pending[n] = 0
         if n in loads or n in stores:
-            sites = _sites(delta)
+            sites = _sites(delta, bit_site)
             for fname, dst in loads.get(n, ()):
                 for site in sites:
                     add_edge(node((site, fname)), dst)
             for fname, src in stores.get(n, ()):
                 for site in sites:
                     add_edge(src, node((site, fname)))
-        for dst in succ[n]:  # add(dst, delta), inlined: the hot loop
-            new = delta & mask[dst] & ~pts[dst]
-            if new:
-                pts[dst] |= new
-                if not pending[dst]:
-                    work.append(dst)
-                pending[dst] |= new
+        for dst in succ[n]:
+            add(dst, delta)
 
     sol = PointsToSolution()
     for target, kind in ((sol.var_pt, str), (sol.field_pt, tuple)):
         for key in sorted(k for k in ids if isinstance(k, kind)):
             if pts[ids[key]]:
-                target[key] = set(_sites(pts[ids[key]]))
+                target[key] = set(_sites(pts[ids[key]], bit_site))
     return sol
 
 

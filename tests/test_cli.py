@@ -37,6 +37,21 @@ def test_analyze_json_schema(capsys, chained):
     }
 
 
+def test_analyze_huge_site_ids(capsys, tmp_path):
+    """Site ids need only be positive and unique; a huge one analyses like a
+    small one."""
+    path = tmp_path / "huge.ir"
+    path.write_text(
+        "procedure main() {\n  var x; var y;\n  L0:\n"
+        "    x := new(100000000000);\n    y := x;\n"
+        "    assert (y != Null);\n    return;\n}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "analyze", path, "--check-semantics", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["asserts_unproved"] == 0
+
+
 def test_analyze_levels_flip_verdict(capsys, chained):
     code, out, _ = run(capsys, "analyze", chained, "--transform", "ssa", "--format", "json")
     assert code == 0 and json.loads(out)["asserts_unproved"] == 1

@@ -157,10 +157,12 @@ def test_worklist_matches_naive_generated(seed):
 @st.composite
 def hand_built_constraints(draw):
     """Small constraint sets the generator would not write: 2-6 var keys
-    with a random tagged subset, 1-4 sites plus Null, 1-2 fields, a copy
-    cycle among random copies, and a load and a store on one shared base."""
+    with a random tagged subset, 1-4 sites plus Null (small or sparse ids up
+    to 10**12), 1-2 fields, a copy cycle among random copies, and a load and
+    a store on one shared base."""
     keys = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
-    sites = [NULL_SITE, *range(1, draw(st.integers(1, 4)) + 1)]
+    site_id = st.one_of(st.integers(1, 8), st.integers(1, 10**12))
+    sites = [NULL_SITE, *sorted(draw(st.sets(site_id, min_size=1, max_size=4)))]
     fields = ["f", "g"][: draw(st.integers(1, 2))]
     key, site, fname = st.sampled_from(keys), st.sampled_from(sites), st.sampled_from(fields)
     cycle = draw(st.lists(key, min_size=2, max_size=4))
@@ -198,6 +200,22 @@ def test_tagged_node_in_null_copy_cycle():
     assert sol.pt("a") == {NULL_SITE, 1}
     assert sol.pt("t") == sol.pt("b") == {1}
     assert sol.pt_field(1, "f") == {2} and sol.pt("x") == {2}
+
+
+def test_huge_site_ids_stay_cheap():
+    """Site ids are only required to be positive and unique, so they can be
+    sparse and huge; the solver's bitsets must not grow with the id."""
+    big, bigger = 10**12, 10**18 + 7
+    cons = Constraints(
+        base=[("a", big), ("s", bigger), ("b", NULL_SITE)],
+        copies=[("a", "b")],
+        loads=[("b", "f", "x")],
+        stores=[("a", "f", "s")],
+    )
+    sol = solve_worklist(cons)
+    assert sol == solve_naive(cons)
+    assert sol.pt("b") == {NULL_SITE, big}
+    assert sol.pt_field(big, "f") == {bigger} and sol.pt("x") == {bigger}
 
 
 def test_filter_schedules_can_differ(bundled):

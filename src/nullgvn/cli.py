@@ -49,12 +49,17 @@ def _open_output(path: str) -> TextIO:
         raise _file_error(path, exc) from exc
 
 
-def _load(path: str):
-    """Read and parse one program file."""
-    program = parse_program(_read(path), path)
+def _parse(text: str, path: str):
+    """Parse one program; its diagnostics become an InputError."""
+    program = parse_program(text, path)
     if isinstance(program, list):
         raise InputError(program)
     return program
+
+
+def _load(path: str):
+    """Read and parse one program file."""
+    return _parse(_read(path), path)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -76,31 +81,45 @@ def _report_text(name: str, report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_semantics(original, transformed, depth: int, dump: str | None) -> bool:
+def _check_semantics(original, transformed, depth: int, dump: str | None) -> str | None:
+    """Compare the two programs' traces. Returns the coverage, as
+    `N / M traces, X% / Y% truncated`, when they are equivalent; prints the
+    witness and returns None when they are not."""
     if depth < 1:
         raise InputError([Diagnostic("error", f"--depth must be at least 1, got {depth}")])
     a = interp.enumerate_traces(original, depth)
     b = interp.enumerate_traces(transformed, depth)
     if dump:
         with _open_output(dump) as fp:
-            interp.dump_traces_jsonl(a, fp)
-            interp.dump_traces_jsonl(b, fp)
+            interp.dump_traces_jsonl(a, "original", fp)
+            interp.dump_traces_jsonl(b, "transformed", fp)
+    cut_a = sum(map(interp.is_truncated, a))
+    cut_b = sum(map(interp.is_truncated, b))
+    if cut_a == len(a) and cut_b == len(b):
+        raise InputError([Diagnostic(
+            "error",
+            f"every trace is truncated at depth {depth}; nothing was compared, raise --depth",
+        )])
     diff = interp.traces_diff(a, b)
     if diff is not None:
         print(diff, file=sys.stderr)
-    return diff is None
+        return None
+    return (f"{len(a)} / {len(b)} traces, "
+            f"{100 * cut_a / len(a):.0f}% / {100 * cut_b / len(b):.0f}% truncated")
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_analyze(args) -> int:
+    text = _read(args.file)
     t0 = time.monotonic()
-    program = _load(args.file)
+    program = _parse(text, args.file)
     parse_ms = (time.monotonic() - t0) * 1000.0
+    del text  # not needed past parsing; a large source would stay resident
     result = pipeline.analyze_program(program, args.transform, parse_ms)
     if args.check_semantics:
-        if not _check_semantics(program, result.transformed, args.depth, None):
+        if _check_semantics(program, result.transformed, args.depth, None) is None:
             print("semantics check FAILED", file=sys.stderr)
             return EXIT_DIAGNOSTICS
     if args.emit_transformed:
@@ -122,10 +141,11 @@ def cmd_transform(args) -> int:
 def cmd_check_semantics(args) -> int:
     program = _load(args.file)
     transformed, _ = pipeline.transform_program(program, args.level)
-    if _check_semantics(program, transformed, args.depth, args.dump_traces):
-        print(f"{args.file}: traces equivalent at depth {args.depth}")
-        return EXIT_OK
-    return EXIT_DIAGNOSTICS
+    coverage = _check_semantics(program, transformed, args.depth, args.dump_traces)
+    if coverage is None:
+        return EXIT_DIAGNOSTICS
+    print(f"{args.file}: traces equivalent at depth {args.depth} ({coverage})")
+    return EXIT_OK
 
 
 CONFIG_KEYS = (
@@ -270,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=pipeline.TRANSFORM_LEVELS, default="ssa+gvn")
     p.add_argument("--depth", type=int, default=64)
     p.add_argument("--dump-traces", metavar="PATH", default=None,
-                   help="dump both trace sets as JSON lines")
+                   help="dump both trace sets as JSON lines, each tagged with its side")
     p.set_defaults(func=cmd_check_semantics)
 
     p = sub.add_parser("report", help="aggregate table over a corpus directory")

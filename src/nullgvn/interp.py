@@ -52,6 +52,8 @@ DEFAULT_TRACE_CAP = 10**6
 
 _MISSING = object()
 
+TRUNCATED = ("truncated",)
+
 
 class TraceLimitError(Exception):
     """More traces than the configured cap; exploration was aborted."""
@@ -172,7 +174,7 @@ class _Engine:
             proc, label, idx = st.frames[-1][:3]
             block = self.blocks[proc][label]
             if st.steps >= self.depth:
-                st.trace.append(("truncated",))
+                st.trace.append(TRUNCATED)
                 return True
             st.steps += 1
             if idx >= len(block.stmts):
@@ -347,7 +349,50 @@ def enumerate_traces(
 # Trace projection and comparison
 # ---------------------------------------------------------------------------
 
-def project_trace(trace: tuple, keep=None) -> tuple:
+def is_truncated(trace: tuple) -> bool:
+    """True when the step budget ran out on the trace's path."""
+    return trace[-1:] == (TRUNCATED,)
+
+
+def _project_event(ev: tuple):
+    """The projected form of one raw event, or None when it is dropped."""
+    kind = ev[0]
+    if kind == "assign":
+        _, var, val = ev
+        return None if is_tagged(var) else ("assign", original_name(var), val)
+    if kind == "reassign":
+        return None
+    if kind == "unassigned":
+        return ("unassigned", original_name(ev[2]))
+    if kind in ("assert_pass", "assert_fail", "null_deref", "assume_blocked"):
+        return (kind,)
+    return ev  # return, truncated
+
+
+def _project(trace: tuple, memo: dict) -> tuple:
+    """project_trace with each raw event's projection looked up in `memo`.
+
+    Forked interpreter states share their event objects, so one memo over
+    all traces of a comparison projects each distinct event once, and every
+    projected trace holds the one projected tuple of each raw event.
+    """
+    values: dict[str, object] = {}
+    out = []
+    for ev in trace:
+        p = memo.get(ev, _MISSING)
+        if p is _MISSING:
+            p = memo[ev] = _project_event(ev)
+        if p is None:
+            continue
+        if p[0] == "assign":
+            if values.get(p[1], _MISSING) == p[2]:
+                continue
+            values[p[1]] = p[2]
+        out.append(p)
+    return tuple(out)
+
+
+def project_trace(trace: tuple) -> tuple:
     """Canonicalize a trace for cross-version comparison.
 
     Tagged variables disappear, SSA versions collapse to their source
@@ -357,75 +402,85 @@ def project_trace(trace: tuple, keep=None) -> tuple:
     only it sees each frame's values; an `assign` that repeats the last
     value the projection saw for its name is dropped as well.
     """
-    keep = keep or (lambda name: not is_tagged(name))
-    values: dict[str, object] = {}
-    out = []
-    for ev in trace:
-        kind = ev[0]
-        if kind == "assign":
-            _, var, val = ev
-            if not keep(var):
-                continue
-            name = original_name(var)
-            if values.get(name, _MISSING) == val:
-                continue
-            values[name] = val
-            out.append(("assign", name, val))
-        elif kind == "reassign":
-            continue
-        elif kind == "unassigned":
-            out.append(("unassigned", original_name(ev[2])))
-        elif kind in ("assert_pass", "assert_fail", "null_deref", "assume_blocked"):
-            out.append((kind,))
-        else:  # return, truncated
-            out.append(ev)
-    return tuple(out)
+    return _project(trace, {})
 
 
-def _compatible(x: tuple, y: tuple) -> bool:
-    xt = bool(x) and x[-1] == ("truncated",)
-    yt = bool(y) and y[-1] == ("truncated",)
-    if not xt and not yt:
-        return x == y
-    xe = x[:-1] if xt else x
-    ye = y[:-1] if yt else y
-    if xt and not yt:
-        return xe == ye[: len(xe)]
-    if yt and not xt:
-        return ye == xe[: len(ye)]
-    return xe == ye[: len(xe)] or ye == xe[: len(ye)]
+# Marks in a prefix trie node: a complete trace ends here / the body of a
+# truncated trace ends here. Event keys are tuples, so these never collide.
+_END = object()
+_TRUNCATED_END = object()
 
 
-def traces_diff(a, b, keep=None) -> str | None:
+def _prefix_trie(traces) -> dict:
+    """Nested dicts keyed by event over the traces' bodies (the traces with
+    any truncation marker stripped), each body's last node marked."""
+    root: dict = {}
+    for t in traces:
+        truncated = is_truncated(t)
+        node = root
+        for ev in t[:-1] if truncated else t:
+            child = node.get(ev)
+            if child is None:
+                child = node[ev] = {}
+            node = child
+        node[_TRUNCATED_END if truncated else _END] = True
+    return root
+
+
+def _has_match(trace: tuple, trie: dict) -> bool:
+    """Whether some trace of the trie is compatible with `trace`: equal when
+    both are complete, otherwise one body a prefix of the other, where only
+    a truncated trace's body may be the shorter one."""
+    truncated = is_truncated(trace)
+    node = trie
+    for ev in trace[:-1] if truncated else trace:
+        if _TRUNCATED_END in node:
+            return True
+        node = node.get(ev)
+        if node is None:
+            return False
+    if truncated:
+        # Every node of a non-empty trie lies on some body, which therefore
+        # extends this one; only the root of an empty trie is empty.
+        return bool(node)
+    return _END in node or _TRUNCATED_END in node
+
+
+def traces_diff(a, b) -> str | None:
     """Human-readable witness of non-equivalence, or None when the projected
     trace sets are equivalent.
 
     Complete traces must match exactly. A truncated trace matches anything
     it is a prefix of: transformations change statement counts, so the
     budget runs out at different logical points on the two sides. A trace
-    present on both sides matches itself, so only the set differences need
-    the quadratic prefix search; the witness is the unmatched trace first
-    in repr order.
+    present on both sides matches itself, so only the set differences are
+    walked through a prefix trie of the other side; the witness is the
+    unmatched trace first in repr order.
     """
-    pa = {project_trace(t, keep) for t in a}
-    pb = {project_trace(t, keep) for t in b}
+    memo: dict = {}
+    pa = {_project(t, memo) for t in a}
+    pb = {_project(t, memo) for t in b}
     for side, extra, other in (("left", pa - pb, pb), ("right", pb - pa, pa)):
-        unmatched = [x for x in extra if not any(_compatible(x, y) for y in other)]
+        if not extra:
+            continue
+        trie = _prefix_trie(other)
+        unmatched = [x for x in extra if not _has_match(x, trie)]
         if unmatched:
             return f"trace only on the {side} side:\n  {min(unmatched, key=repr)}"
     return None
 
 
-def traces_equivalent(a, b, keep=None) -> bool:
+def traces_equivalent(a, b) -> bool:
     """Set equivalence of projected traces; see traces_diff."""
-    return traces_diff(a, b, keep) is None
+    return traces_diff(a, b) is None
 
 
-def dump_traces_jsonl(traces, fp) -> None:
+def dump_traces_jsonl(traces, side: str, fp) -> None:
+    """One JSON object per trace: {"side": side, "trace": [event, ...]}."""
     import json
 
     for t in traces:
-        fp.write(json.dumps([list(ev) if isinstance(ev, tuple) else ev for ev in t]))
+        fp.write(json.dumps({"side": side, "trace": t}))
         fp.write("\n")
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path as FsPath
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from nullgvn import corpus
 from nullgvn.cli import main
 from nullgvn.corpus import bundled_sources
+from nullgvn.interp import enumerate_traces, is_truncated
+from nullgvn.pipeline import transform_program
 
 CORPUS = FsPath(corpus.__file__).parent / "programs"
 
@@ -106,20 +109,44 @@ def test_gen_config_file(capsys, tmp_path):
     assert "procedure main()" in out
 
 
+COVERAGE = re.compile(
+    r"traces equivalent at depth (\d+) \((\d+) / (\d+) traces, (\d+)% / (\d+)% truncated\)"
+)
+
+
 def test_check_semantics_subcommand(capsys):
-    code, out, _ = run(
-        capsys, "check-semantics", CORPUS / "loop_multi_exit.ir", "--depth", "64"
-    )
+    path = CORPUS / "loop_multi_exit.ir"
+    code, out, _ = run(capsys, "check-semantics", path, "--depth", "64")
     assert code == 0
-    assert "equivalent" in out
+    depth, n_a, n_b, pct_a, pct_b = map(int, COVERAGE.search(out).groups())
+    program = corpus.bundled_programs()["loop_multi_exit"]
+    a = enumerate_traces(program, 64)
+    b = enumerate_traces(transform_program(program, "ssa+gvn")[0], 64)
+    assert (depth, n_a, n_b) == (64, len(a), len(b))
+    for pct, traces in ((pct_a, a), (pct_b, b)):
+        assert pct == round(100 * sum(map(is_truncated, traces)) / len(traces))
+
+
+@pytest.mark.parametrize("command", [["check-semantics"], ["analyze", "--check-semantics"]])
+def test_check_semantics_all_truncated_fails(capsys, tmp_path, command):
+    """A program whose every path runs out of budget compares nothing."""
+    path = tmp_path / "spin.ir"
+    path.write_text("procedure main() {\n  L0: goto L0;\n}\n", encoding="utf-8")
+    code, out, err = run(capsys, command[0], path, *command[1:], "--depth", "16")
+    assert code == 1
+    assert "every trace is truncated at depth 16" in err
+    assert "internal error" not in err and "equivalent" not in out
 
 
 def test_check_semantics_dump(capsys, tmp_path, chained):
     dump = tmp_path / "traces.jsonl"
-    code, _, _ = run(capsys, "check-semantics", chained, "--dump-traces", dump)
+    code, out, _ = run(capsys, "check-semantics", chained, "--dump-traces", dump)
     assert code == 0
-    lines = dump.read_text(encoding="utf-8").splitlines()
-    assert lines and all(json.loads(l) for l in lines)
+    _, n_a, n_b, _, _ = map(int, COVERAGE.search(out).groups())
+    records = [json.loads(l) for l in dump.read_text(encoding="utf-8").splitlines()]
+    assert all(set(r) == {"side", "trace"} and r["trace"] for r in records)
+    sides = [r["side"] for r in records]
+    assert sides == ["original"] * n_a + ["transformed"] * n_b
 
 
 def test_report_table(capsys):

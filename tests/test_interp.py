@@ -9,6 +9,7 @@ from nullgvn.interp import (
     check_term_consistency,
     enumerate_traces,
     project_trace,
+    traces_diff,
     traces_equivalent,
 )
 from nullgvn.ir import Path
@@ -182,6 +183,90 @@ def test_transformed_equivalence(bundled):
     program = bundled["chained_field_equiv"]
     out = do_gvn(to_ssa(lift_loops(program)))
     assert traces_equivalent(enumerate_traces(program, 64), enumerate_traces(out, 64))
+
+
+# -- trace comparison against the quadratic reference ------------------------------
+
+
+def _compatible(x: tuple, y: tuple) -> bool:
+    """Reference match of two projected traces: equal when both are
+    complete, otherwise one body a prefix of the other, where only a
+    truncated trace's body may be the shorter one."""
+    xt = bool(x) and x[-1] == ("truncated",)
+    yt = bool(y) and y[-1] == ("truncated",)
+    if not xt and not yt:
+        return x == y
+    xe = x[:-1] if xt else x
+    ye = y[:-1] if yt else y
+    if xt and not yt:
+        return xe == ye[: len(xe)]
+    if yt and not xt:
+        return ye == xe[: len(ye)]
+    return xe == ye[: len(xe)] or ye == xe[: len(ye)]
+
+
+def reference_traces_diff(a, b):
+    """traces_diff by trying every left-only trace against every trace of
+    the other side."""
+    pa = {project_trace(t) for t in a}
+    pb = {project_trace(t) for t in b}
+    for side, extra, other in (("left", pa - pb, pb), ("right", pb - pa, pa)):
+        unmatched = [x for x in extra if not any(_compatible(x, y) for y in other)]
+        if unmatched:
+            return f"trace only on the {side} side:\n  {min(unmatched, key=repr)}"
+    return None
+
+
+TRUNC = ("truncated",)
+E1 = ("assign", "x", ("loc", 1, 1))
+E2 = ("assign", "x", "null")
+E3 = ("assert_pass",)
+RET = ("return", ("null",))
+
+
+@st.composite
+def trace_set_pair(draw):
+    """Two sets of projected-shaped traces cut from a few shared bodies, so
+    that empty traces, a bare truncation marker and prefixes in both
+    directions all come up."""
+    bodies = draw(st.lists(
+        st.lists(st.sampled_from([E1, E2, E3, RET]), max_size=5).map(tuple),
+        min_size=1, max_size=4,
+    ))
+    one = st.builds(
+        lambda body, cut, truncated: body[:cut] + ((TRUNC,) if truncated else ()),
+        st.sampled_from(bodies), st.integers(0, 5), st.booleans(),
+    )
+    return draw(st.lists(one, max_size=6)), draw(st.lists(one, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=trace_set_pair())
+def test_traces_diff_matches_reference(pair):
+    a, b = pair
+    assert traces_diff(a, b) == reference_traces_diff(a, b)
+    assert traces_diff(b, a) == reference_traces_diff(b, a)
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        # a complete empty trace against a truncated empty body
+        ([()], [(TRUNC,)], None),
+        # a truncated trace matched only by a longer complete trace
+        ([(E1, TRUNC), (E1, E2, RET)], [(E1, E2, RET)], None),
+        # a complete trace matched only by a shorter truncated one
+        ([(E1, E2, RET)], [(E1, TRUNC)], None),
+        # a complete trace that is a strict prefix of another complete one
+        ([(E1,), (E1, E2)], [(E1, E2)], f"trace only on the left side:\n  {(E1,)}"),
+        # a truncated trace with nothing on the other side
+        ([(TRUNC,)], [], f"trace only on the left side:\n  {(TRUNC,)}"),
+    ],
+    ids=["empty-vs-truncated-empty", "truncated-by-longer-complete",
+         "complete-by-shorter-truncated", "complete-strict-prefix", "truncated-vs-nothing"],
+)
+def test_traces_diff_directed(a, b, expected):
+    assert traces_diff(a, b) == expected == reference_traces_diff(a, b)
 
 
 # -- soundness oracle --------------------------------------------------------------

@@ -31,6 +31,7 @@ from .ir import (
     Program,
     Return,
     Store,
+    make_tagged,
     validate,
 )
 from .parse import parse_program
@@ -52,7 +53,7 @@ def _chained_field_equiv_rewritten(source: str) -> Program:
     program = parse_program(source)
     assert isinstance(program, Program)
     proc = program.procedures[0]
-    tag = "gvnTmp__gvn1"
+    tag = make_tagged(1)
     proc.locals.append(tag)
     out = []
     for stmt in proc.blocks[0].stmts:

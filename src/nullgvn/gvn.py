@@ -12,7 +12,6 @@ temporary that carries the same value.
 from __future__ import annotations
 
 import itertools
-import re
 
 from . import normalize
 from .ir import (
@@ -33,18 +32,17 @@ from .ir import (
     predecessors,
     stmt_reads,
     stmt_writes,
+    tag_index,
 )
-
-_TAG_INDEX_RE = re.compile(r"__gvn(\d+)$")
 
 
 def _next_tag_index(program: Program) -> int:
     top = 0
     for proc in program.procedures:
         for name in proc.scope_vars():
-            m = _TAG_INDEX_RE.search(name)
-            if m:
-                top = max(top, int(m.group(1)))
+            index = tag_index(name)
+            if index is not None:
+                top = max(top, index)
     return top + 1
 
 

@@ -203,13 +203,12 @@ class _Engine:
                 frame[1] = targets[0]
                 frame[2] = 0
                 return False
-            children = []
-            for t in targets:
-                child = st.clone()
+            # The last successor takes over the forking state itself.
+            children = [st.clone() for _ in targets[1:]] + [st]
+            for child, t in zip(children, targets):
                 frame = child.frames[-1]
                 frame[1] = t
                 frame[2] = 0
-                children.append(child)
             return children
         # Return
         callee_frame = st.frames.pop()
@@ -284,10 +283,10 @@ class _Engine:
             is_assert = isinstance(stmt, Assert)
             cond = stmt.cond
             if isinstance(cond, Opaque):
-                taken = st.clone()
-                taken.frames[-1][2] += 1
                 other = st.clone()
                 other.halted = True
+                taken = st
+                taken.frames[-1][2] += 1
                 if is_assert:
                     taken.trace.append(("assert_pass", loc))
                     other.trace.append(("assert_fail", loc))

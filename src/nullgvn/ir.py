@@ -8,8 +8,11 @@ from dataclasses import dataclass, field
 # Allocation sites are plain non-negative ints; site 0 stands for Null.
 NULL_SITE = 0
 
-_TAGGED_RE = re.compile(r"__gvn\d+$")
+# Generated names: SSA versions `x__N` and tagged temporaries `gvnTmp__gvnN`.
+# Source text may use `__` only in names of these two forms.
+_TAGGED_RE = re.compile(r"__gvn(\d+)$")
 _VERSION_RE = re.compile(r"^(.+?)__(\d+)$")
+_GENERATED_RE = re.compile(r"__(gvn)?\d+$")
 
 
 def is_tagged(name: str) -> bool:
@@ -25,12 +28,28 @@ def make_tagged(index: int) -> str:
     return f"gvnTmp__gvn{index}"
 
 
+def tag_index(name: str) -> int | None:
+    """The N of a tagged temporary `...__gvnN`, or None for any other name."""
+    m = _TAGGED_RE.search(name)
+    return int(m.group(1)) if m else None
+
+
+def make_version(name: str, n: int) -> str:
+    """The name of the n-th SSA version of `name`."""
+    return f"{name}__{n}"
+
+
 def original_name(name: str) -> str:
     """Map an SSA version name (x__2, x__3, ...) back to its source variable."""
     m = _VERSION_RE.match(name)
     if m:
         return m.group(1)
     return name
+
+
+def is_reserved_name(name: str) -> bool:
+    """True for a name that contains `__` but is not a generated name."""
+    return "__" in name and _GENERATED_RE.search(name) is None
 
 
 # ---------------------------------------------------------------------------

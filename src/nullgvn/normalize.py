@@ -21,6 +21,7 @@ from .ir import (
     Return,
     Store,
     cfg_is_acyclic,
+    make_version,
     predecessors,
     stmt_reads,
     stmt_writes,
@@ -385,7 +386,7 @@ def _ssa_proc(proc: Procedure, globals_: set[str]) -> None:
         counts[name] = n
         if n == 1:
             return name
-        fresh = f"{name}__{n}"
+        fresh = make_version(name, n)
         new_names.append(fresh)
         return fresh
 

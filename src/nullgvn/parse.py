@@ -25,7 +25,7 @@ and tagged temporaries) and rejected in source text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ir import (
     Alloc,
@@ -45,20 +45,28 @@ from .ir import (
     Return,
     Statement,
     Store,
+    is_reserved_name,
     validate,
 )
 
 KEYWORDS = {"var", "procedure", "returns", "goto", "return", "assume", "assert", "call", "new", "Null"}
 
-PUNCT = ("!=", "==", ":=", "{", "}", "(", ")", ":", ";", ",", ".", "*")
+# One alternative per token kind. Blanks and `//` comments match no named
+# group and are skipped; `bad` catches any character no token can start with.
+# `[^\W\d]` also admits non-decimal numerals such as `²`, so `_tokenize`
+# checks that an identifier starts with a letter or `_`. An integer is a run
+# of decimal digits, exactly what `int()` accepts.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]+|//[^\n]*"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<punct>[!=:]=|[{}():;,.*])"
+    r"|(?P<nl>\n)"
+    r"|(?P<int>\d+)"
+    r"|(?P<bad>.)"
+)
 
-# Generated names (SSA versions, tagged temporaries) must survive a
-# print/parse round trip; any other use of `__` is rejected.
-_GENERATED_NAME_RE = re.compile(r"__(gvn)?\d+$")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "punct" | "eof"
     text: str
     line: int
@@ -73,50 +81,23 @@ class ParseError(Exception):
 
 def _tokenize(text: str, filename: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "nl":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
+        word = m.group()
+        col = m.start() - line_start + 1
+        if kind == "bad" or kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
             raise ParseError(
-                Diagnostic("error", f"unexpected character {c!r}", filename, line, col)
+                Diagnostic("error", f"unexpected character {word[0]!r}", filename, line, col)
             )
-    toks.append(Token("eof", "", line, col))
+        toks.append(Token(kind, word, line, col))
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -128,8 +109,8 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
@@ -160,7 +141,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != "ident" or tok.text in KEYWORDS:
             raise self.fail(f"expected {what}, found '{tok.text or 'end of input'}'", tok)
-        if "__" in tok.text and not _GENERATED_NAME_RE.search(tok.text):
+        if is_reserved_name(tok.text):
             raise self.fail(
                 f"'{tok.text}': identifiers containing '__' are reserved for generated names",
                 tok,

@@ -13,6 +13,8 @@ from nullgvn.corpus import bundled_sources
 from nullgvn.interp import enumerate_traces, is_truncated
 from nullgvn.pipeline import transform_program
 
+from conftest import mutated_program
+
 CORPUS = FsPath(corpus.__file__).parent / "programs"
 
 
@@ -192,6 +194,7 @@ def test_missing_corpus_dir(capsys, tmp_path):
     [
         ["analyze", "{missing}"],
         ["analyze", "{undecodable}"],
+        ["analyze", "{superscript}"],
         ["gen", "--config", "{missing}"],
         ["gen", "--config", "{bad_config}"],
         ["gen", "--config", "{unknown_key}"],
@@ -203,15 +206,20 @@ def test_missing_corpus_dir(capsys, tmp_path):
         ["analyze", "{program}", "--emit-transformed", "{unwritable}"],
         ["check-semantics", "{program}", "--dump-traces", "{unwritable}"],
     ],
-    ids=["missing-file", "undecodable-file", "missing-config", "bad-config-value",
-         "unknown-config-key", "config-line-without-equals", "unknown-config-weight",
-         "negative-depth", "zero-depth", "unwritable-transform-output",
-         "unwritable-emit-transformed", "unwritable-trace-dump"],
+    ids=["missing-file", "undecodable-file", "superscript-site-id", "missing-config",
+         "bad-config-value", "unknown-config-key", "config-line-without-equals",
+         "unknown-config-weight", "negative-depth", "zero-depth",
+         "unwritable-transform-output", "unwritable-emit-transformed",
+         "unwritable-trace-dump"],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, chained, argv):
     undecodable = tmp_path / "undecodable.ir"
     undecodable.write_bytes(b"\xff\xfeprocedure main() { L1: return; }")
+    superscript = tmp_path / "superscript.ir"
+    superscript.write_text("procedure main() { var x; L1: x := new(²); return; }",
+                           encoding="utf-8")
     paths = {"missing": tmp_path / "missing.ir", "undecodable": undecodable,
+             "superscript": superscript,
              "program": chained, "unwritable": tmp_path / "no-such-dir" / "out"}
     configs = {"bad_config": "seed=seven", "unknown_key": "max_proc=9",
                "no_equals": "seed=3\nmax_procs 9", "unknown_weight": "weight_bogus=1"}
@@ -222,15 +230,6 @@ def test_malformed_input_exit_code(capsys, tmp_path, chained, argv):
     assert code == 1
     assert "error" in err and "internal error" not in err
     assert "equivalent" not in out
-
-
-@st.composite
-def mutated_program(draw):
-    """A bundled program with one short span replaced by arbitrary text."""
-    src = draw(st.sampled_from(sorted(bundled_sources().values())))
-    start = draw(st.integers(0, len(src)))
-    end = draw(st.integers(start, min(len(src), start + 20)))
-    return src[:start] + draw(st.text(max_size=10)) + src[end:]
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,8 +7,11 @@ from nullgvn.ir import (
     Program,
     Return,
     cfg_is_acyclic,
+    is_reserved_name,
     is_tagged,
+    make_version,
     original_name,
+    tag_index,
     validate,
 )
 
@@ -23,6 +26,11 @@ def test_tagged_naming():
     assert original_name("x__2") == "x"
     assert original_name("x") == "x"
     assert original_name("gvnTmp__gvn1") == "gvnTmp__gvn1"
+    assert original_name(make_version("x", 3)) == "x"
+    assert tag_index("gvnTmp__gvn12") == 12
+    assert tag_index("x__2") is None
+    assert is_reserved_name("a__b")
+    assert not any(map(is_reserved_name, ["x", "x__2", "gvnTmp__gvn1"]))
 
 
 def test_validate_clean_program(bundled):

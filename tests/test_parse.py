@@ -1,10 +1,11 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nullgvn.corpus import GeneratorConfig, bundled_sources, generate
 from nullgvn.ir import Assign, Assume, Opaque, Path, Program
-from nullgvn.parse import parse_program, print_program
+from nullgvn.parse import ParseError, _tokenize, parse_program, print_program
 
-from conftest import parse_ok
+from conftest import mutated_program, parse_ok
 
 FIG_SRC = bundled_sources()["basic_interproc"]
 
@@ -99,3 +100,46 @@ def test_round_trip_transformed(seed):
 
     program = do_gvn(to_ssa(lift_loops(generate(GeneratorConfig(seed=seed)))))
     assert parse_ok(print_program(program)) == program
+
+
+def _offset(text: str, line: int, col: int) -> int:
+    return sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + col - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(), mutated_program()))
+def test_token_positions(text):
+    """Each token's text starts at its own (line, col); end of input sits
+    just past the last character."""
+    try:
+        toks = _tokenize(text, "t.ir")
+    except ParseError:
+        return
+    offsets = [_offset(text, t.line, t.col) for t in toks]
+    assert offsets == sorted(set(offsets))
+    for tok, at in zip(toks, offsets):
+        assert text.startswith(tok.text, at), tok
+    assert toks[-1].kind == "eof" and offsets[-1] == len(text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("\tx\t:= y;", [("ident", "x", 1, 2), ("punct", ":=", 1, 4),
+                        ("ident", "y", 1, 7), ("punct", ";", 1, 8), ("eof", "", 1, 9)]),
+        ("a\r\nb\r\n", [("ident", "a", 1, 1), ("ident", "b", 2, 1), ("eof", "", 3, 1)]),
+        ("x // note", [("ident", "x", 1, 1), ("eof", "", 1, 10)]),
+        ("new(12)\n", [("ident", "new", 1, 1), ("punct", "(", 1, 4), ("int", "12", 1, 5),
+                       ("punct", ")", 1, 7), ("eof", "", 2, 1)]),
+    ],
+    ids=["tab", "crlf", "comment-at-end", "end-of-input"],
+)
+def test_token_stream(text, expected):
+    assert [tuple(t) for t in _tokenize(text, "t.ir")] == expected
+
+
+@pytest.mark.parametrize("bad", ["²", "½x", "x := 1²"])
+def test_numerals_outside_decimal_rejected(bad):
+    """Only decimal digits make an integer, and no numeral starts an identifier."""
+    with pytest.raises(ParseError, match="unexpected character"):
+        _tokenize(bad, "t.ir")

@@ -42,11 +42,10 @@ from .ir import (
     Opaque,
     Program,
     Store,
-    NULL_SITE,
     is_tagged,
     original_name,
 )
-from .solver import PointsToSolution, var_key
+from .solver import NULL_BIT, PointsToSolution, var_key
 
 DEFAULT_TRACE_CAP = 10**6
 
@@ -506,21 +505,21 @@ class _SoundnessObserver:
 
     def on_bind(self, proc, var, value, st):
         key = var_key(proc, var, self.globals)
-        pt = self.sol.pt(key)
+        bits = self.sol.bits(key)
         if value is None:
             if is_tagged(var):
                 self._report(("tagged_null", key), ("tagged_null", key), st)
-            elif NULL_SITE not in pt:
+            elif not bits & NULL_BIT:
                 self._report(("var_null", key), ("missing_null", key), st)
         else:
             site = st.heap[value][0]
-            if site not in pt:
+            if not self.sol.holds(bits, site):
                 self._report(("var", key, site), ("missing_site", key, site), st)
 
     def on_store(self, base_site, fname, value, st):
-        cell = self.sol.pt_field(base_site, fname)
+        cell = self.sol.bits((base_site, fname))
         if value is None:
-            if NULL_SITE not in cell:
+            if not cell & NULL_BIT:
                 self._report(
                     ("field_null", base_site, fname),
                     ("missing_null_field", base_site, fname),
@@ -528,7 +527,7 @@ class _SoundnessObserver:
                 )
         else:
             site = st.heap[value][0]
-            if site not in cell:
+            if not self.sol.holds(cell, site):
                 self._report(
                     ("field", base_site, fname, site),
                     ("missing_field_site", base_site, fname, site),

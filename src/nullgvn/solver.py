@@ -14,11 +14,21 @@ every insertion), which stops Null from propagating through them.
 A field read can also observe a field that was never written, which
 evaluates to Null at runtime, so every read contributes the Null site to
 its target in addition to the conditional rule.
+
+`solve_worklist` numbers var keys in reverse post-order of the copy graph
+and pops its worklist smallest id first, so a key is visited after the keys
+that copy into it (topological propagation, as in Pereira & Berlin's wave
+propagation, CGO'09). Its `PointsToSolution` is a view over the solver's
+int bitsets, Null as bit 0: verdicts and the soundness replay test bits,
+and sets are built only when a caller asks for them. `solve_naive` is the
+set-based reference and packs its result into the same view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from heapq import heappop, heappush
 from itertools import compress
 
 from .ir import (
@@ -134,27 +144,98 @@ def generate_constraints(program: Program, disable_rule: str | None = None) -> C
     return cons
 
 
-@dataclass
+NULL_BIT = 1  # Null is bit 0 of every points-to bitset
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _sites(bits: int, bit_site: list[int]) -> list[int]:
+    """The sites of a points-to bitset, lowest bit first: bit i is bit_site[i]."""
+    digits = bin(bits)[:1:-1].encode().translate(_BIT_BYTES)  # 0/1 bytes, bit 0 first
+    return list(compress(bit_site, digits))
+
+
 class PointsToSolution:
-    var_pt: dict[str, set[int]] = field(default_factory=dict)
-    field_pt: dict[tuple[int, str], set[int]] = field(default_factory=dict)
+    """A points-to solution as a view over the solver's own arrays.
+
+    `ids` maps each solver key to a node: a var key (str) or a (site, field)
+    cell. `pts[n]` is node n's points-to set as an int bitset whose bit i
+    stands for site `bit_site[i]`; bit 0 is always Null. Verdicts and the
+    soundness replay test bits directly. Sets are built only when asked for:
+    `pt`/`pt_field` build one, and `materialized` builds all of them once,
+    for `var_pt`, `field_pt` and `==`. `pops` counts worklist pops (0 for
+    the naive solver).
+    """
+
+    def __init__(self, ids: dict[object, int], pts: list[int], bit_site: list[int], pops: int = 0):
+        self.ids = ids
+        self.pts = pts
+        self.bit_site = bit_site
+        self.site_bit = {site: i for i, site in enumerate(bit_site)}
+        self.pops = pops
+
+    @classmethod
+    def from_sets(
+        cls, var_pt: dict[str, set[int]], field_pt: dict[tuple[int, str], set[int]]
+    ) -> "PointsToSolution":
+        """Pack set-valued points-to maps into bitsets; empty sets are dropped."""
+        items = [(k, v) for k, v in (*var_pt.items(), *field_pt.items()) if v]
+        sites = {site for _, v in items for site in v} - {NULL_SITE}
+        sol = cls({}, [], [NULL_SITE, *sorted(sites)])
+        for key, v in items:
+            sol.ids[key] = len(sol.pts)
+            sol.pts.append(sum(1 << sol.site_bit[site] for site in v))
+        return sol
+
+    def bits(self, key: object) -> int:
+        """Bitset of a var key or a (site, field) cell; 0 if never reached."""
+        n = self.ids.get(key)
+        return 0 if n is None else self.pts[n]
+
+    def holds(self, bits: int, site: int) -> bool:
+        """Whether the bitset `bits` contains `site`."""
+        i = self.site_bit.get(site)
+        return i is not None and bool(bits >> i & 1)
+
+    def sites(self, bits: int) -> list[int]:
+        return _sites(bits, self.bit_site)
 
     def pt(self, key: str) -> set[int]:
-        return self.var_pt.get(key, set())
+        return set(self.sites(self.bits(key)))
 
     def pt_field(self, site: int, fname: str) -> set[int]:
-        return self.field_pt.get((site, fname), set())
+        return set(self.sites(self.bits((site, fname))))
 
-    def pruned(self) -> "PointsToSolution":
-        """Drop empty entries so structurally different solvers compare equal."""
-        return PointsToSolution(
-            {k: set(v) for k, v in sorted(self.var_pt.items()) if v},
-            {k: set(v) for k, v in sorted(self.field_pt.items()) if v},
-        )
+    @cached_property
+    def materialized(self) -> tuple[dict[str, set[int]], dict[tuple[int, str], set[int]]]:
+        """(var_pt, field_pt): every non-empty var and cell set as a set."""
+        var_pt: dict[str, set[int]] = {}
+        field_pt: dict[tuple[int, str], set[int]] = {}
+        for key, n in self.ids.items():
+            if self.pts[n]:
+                target = var_pt if isinstance(key, str) else field_pt
+                target[key] = set(self.sites(self.pts[n]))
+        return var_pt, field_pt
+
+    @property
+    def var_pt(self) -> dict[str, set[int]]:
+        return self.materialized[0]
+
+    @property
+    def field_pt(self) -> dict[tuple[int, str], set[int]]:
+        return self.materialized[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PointsToSolution):
+            return NotImplemented
+        return self.materialized == other.materialized
+
+    def __repr__(self) -> str:
+        return f"PointsToSolution(var_pt={self.var_pt!r}, field_pt={self.field_pt!r})"
 
 
 def solve_naive(constraints: Constraints, schedule: str = "per_statement") -> PointsToSolution:
-    """Fixpoint by repeated full passes over the constraints.
+    """Fixpoint by repeated full passes over the constraints, on plain sets:
+    the reference the worklist solver is checked against.
 
     schedule="per_statement" strips the Null site from tagged variables as
     soon as it lands (the filter nested in the statement loop);
@@ -163,8 +244,8 @@ def solve_naive(constraints: Constraints, schedule: str = "per_statement") -> Po
     """
     if schedule not in ("per_statement", "per_iteration"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    sol = PointsToSolution()
-    var_pt, field_pt = sol.var_pt, sol.field_pt
+    var_pt: dict[str, set[int]] = {}
+    field_pt: dict[tuple[int, str], set[int]] = {}
     per_stmt = schedule == "per_statement"
     tagged = constraints.tagged
 
@@ -205,17 +286,37 @@ def solve_naive(constraints: Constraints, schedule: str = "per_statement") -> Po
                     var_pt[key].discard(NULL_SITE)
         new = snapshot()
         if new == old:
-            return sol.pruned()
+            return PointsToSolution.from_sets(var_pt, field_pt)
         old = new
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _sites(bits: int, bit_site: list[int]) -> list[int]:
-    """The sites of a points-to bitset, lowest bit first: bit i is bit_site[i]."""
-    digits = bin(bits)[:1:-1].encode().translate(_BIT_BYTES)  # 0/1 bytes, bit 0 first
-    return list(compress(bit_site, digits))
+def _copy_order(copies: list[tuple[str, str]]) -> list[str]:
+    """The keys of the copy graph in reverse post-order, from an iterative
+    depth-first search: where the graph has no cycle, every key comes after
+    all the keys that copy into it."""
+    succ: dict[str, list[str]] = {}
+    for src, dst in copies:
+        succ.setdefault(src, []).append(dst)
+        succ.setdefault(dst, [])
+    post: list[str] = []
+    seen: set[str] = set()
+    for root in succ:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            key, out = stack[-1]
+            for dst in out:
+                if dst not in seen:
+                    seen.add(dst)
+                    stack.append((dst, iter(succ[dst])))
+                    break
+            else:
+                stack.pop()
+                post.append(key)
+    post.reverse()
+    return post
 
 
 def solve_worklist(constraints: Constraints) -> PointsToSolution:
@@ -223,14 +324,19 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
     fixpoint as solve_naive, much faster on long copy chains.
 
     Every var key and every (site, field) cell is interned to a dense node
-    id; a cell when a load or store first reaches it. Sites are numbered
-    densely too, in ascending order (site ids need not be small), and a
-    points-to set is an int bitset over those numbers. Each node has an
-    admit mask that clears the Null bit on tagged keys, so the filter runs
-    at every insertion. Each node carries one pending delta and sits on the
-    worklist at most once: it is pushed only when that delta turns non-zero. Copy
-    edges pass the whole delta with one `|`; only load and store bases walk
-    its sites.
+    id. Var keys are numbered first, in reverse post-order of the copy graph
+    (`_copy_order`); cells get the next free id when a load or store first
+    reaches them. Sites are numbered densely too, Null as bit 0 and the rest
+    in ascending order (site ids need not be small), and a points-to set is
+    an int bitset over those numbers. Each node has an admit mask that
+    clears the Null bit on tagged keys, so the filter runs at every
+    insertion. Each node carries one pending delta and sits on the worklist
+    at most once: it is pushed only when that delta turns non-zero. The
+    worklist is a min-heap over node ids, so a node whose copy sources are
+    also pending is popped after them and passes on their bits in one
+    visit. Copy edges pass the whole delta with one `|`; only load and
+    store bases walk its sites. The solution is a view over the final
+    bitsets; no set is built here.
     """
     ids: dict[object, int] = {}
     pts: list[int] = []
@@ -241,9 +347,8 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
     stores: dict[int, list[tuple[str, int]]] = {}
     work: list[int] = []
     tagged = constraints.tagged
-    bit_site = sorted({NULL_SITE, *(site for _, site in constraints.base)})
+    bit_site = [NULL_SITE, *sorted({site for _, site in constraints.base} - {NULL_SITE})]
     site_bit = {site: i for i, site in enumerate(bit_site)}
-    no_null = ~(1 << site_bit[NULL_SITE])
 
     def node(key: object) -> int:
         n = ids.get(key)
@@ -251,7 +356,7 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
             n = ids[key] = len(pts)
             pts.append(0)
             pending.append(0)
-            mask.append(no_null if key in tagged else -1)
+            mask.append(~NULL_BIT if key in tagged else -1)
             succ.append(set())
         return n
 
@@ -260,7 +365,7 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
         if new:
             pts[n] |= new
             if not pending[n]:
-                work.append(n)
+                heappush(work, n)
             pending[n] |= new
 
     def add_edge(src: int, dst: int) -> None:
@@ -270,6 +375,8 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
             if pts[src]:
                 add(dst, pts[src])
 
+    for key in _copy_order(constraints.copies):
+        node(key)
     for base, fname, dst in constraints.loads:
         loads.setdefault(node(base), []).append((fname, node(dst)))
     for base, fname, src in constraints.stores:
@@ -279,8 +386,10 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
     for key, site in constraints.base:
         add(node(key), 1 << site_bit[site])
 
+    pops = 0
     while work:
-        n = work.pop()
+        n = heappop(work)
+        pops += 1
         delta = pending[n]
         pending[n] = 0
         if n in loads or n in stores:
@@ -293,13 +402,7 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
                     add_edge(src, node((site, fname)))
         for dst in succ[n]:
             add(dst, delta)
-
-    sol = PointsToSolution()
-    for target, kind in ((sol.var_pt, str), (sol.field_pt, tuple)):
-        for key in sorted(k for k in ids if isinstance(k, kind)):
-            if pts[ids[key]]:
-                target[key] = set(_sites(pts[ids[key]], bit_site))
-    return sol
+    return PointsToSolution(ids, pts, bit_site, pops)
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +452,16 @@ class SafetyReport:
         }
 
 
-def eval_abstract(sol: PointsToSolution, proc_name: str, path: Path, globals_: set[str]) -> set[int]:
-    """Abstract value set of an access path: pt of the base chained through
-    the field cells of every site it may reach."""
-    sites = set(sol.pt(var_key(proc_name, path.base, globals_)))
+def eval_abstract(sol: PointsToSolution, proc_name: str, path: Path, globals_: set[str]) -> int:
+    """Abstract value of an access path, as a bitset of `sol`: pt of the
+    base chained through the field cells of every site it may reach."""
+    bits = sol.bits(var_key(proc_name, path.base, globals_))
     for f in path.fields:
-        nxt: set[int] = set()
-        for site in sites:
-            nxt |= sol.pt_field(site, f)
-        nxt.add(NULL_SITE)  # an unwritten field reads as Null
-        sites = nxt
-    return sites
+        nxt = NULL_BIT  # an unwritten field reads as Null
+        for site in sol.sites(bits):
+            nxt |= sol.bits((site, f))
+        bits = nxt
+    return bits
 
 
 def classify_assertions(program: Program, sol: PointsToSolution) -> SafetyReport:
@@ -375,8 +477,7 @@ def classify_assertions(program: Program, sol: PointsToSolution) -> SafetyReport
                     continue
                 verdict = UNPROVED
                 if isinstance(stmt.cond, NullCheck) and stmt.cond.negated:
-                    sites = eval_abstract(sol, proc.name, stmt.cond.path, globals_)
-                    if NULL_SITE not in sites:
+                    if not eval_abstract(sol, proc.name, stmt.cond.path, globals_) & NULL_BIT:
                         verdict = SAFE
                 verdicts.append(
                     AssertVerdict(proc.name, block.label, i, str(stmt.cond), verdict)

@@ -11,6 +11,7 @@ from nullgvn import corpus
 from nullgvn.cli import main
 from nullgvn.corpus import bundled_sources
 from nullgvn.interp import enumerate_traces, is_truncated
+from nullgvn.parse import parse_program
 from nullgvn.pipeline import transform_program
 
 from conftest import mutated_program
@@ -55,6 +56,32 @@ def test_analyze_huge_site_ids(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", path, "--check-semantics", "--format", "json")
     assert code == 0, err
     assert json.loads(out)["asserts_unproved"] == 0
+
+
+TAGGED_NAME_SRC = (
+    "procedure main() {\n  var gvnTmp__gvn1;\n  L1:\n    gvnTmp__gvn1 := Null;\n"
+    "    assert (gvnTmp__gvn1 != Null);\n    return;\n}\n"
+)
+
+
+def test_source_tagged_name_assert_fails_at_runtime():
+    traces = enumerate_traces(parse_program(TAGGED_NAME_SRC), 16)
+    assert traces and all(any(ev[0] == "assert_fail" for ev in t) for t in traces)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the solver strips Null from every tagged-looking name, also one the "
+    "source declares (ROADMAP open item 7)",
+)
+def test_source_tagged_name_not_proved(capsys, tmp_path):
+    """Transformed listings re-parse, so source text may name a variable like
+    a tagged temporary; its Null is real and the assert must stay UNPROVED."""
+    path = tmp_path / "tagged_name.ir"
+    path.write_text(TAGGED_NAME_SRC, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", path, "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["asserts_unproved"] == 1
 
 
 def test_analyze_levels_flip_verdict(capsys, chained):

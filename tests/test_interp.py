@@ -301,6 +301,28 @@ def test_soundness_flags_each_disabled_rule():
         assert check_solution_soundness(program, intact, 32) == [], rule
 
 
+@pytest.mark.parametrize(
+    "rule, body, expected",
+    [
+        ("alloc", "var x; L0: x := new(1);", [("missing_site", "main::x", 1)]),
+        ("null", "var a; var b; L0: a := new(1); b := Null; a.f := b;",
+         [("missing_null", "main::b"), ("missing_null_field", 1, "f")]),
+        ("copy", "var x; var y; L0: x := new(1); y := x;", [("missing_site", "main::y", 1)]),
+        ("load", "var a; var b; var c; L0: a := new(1); b := new(2); a.f := b; c := a.f;",
+         [("missing_site", "main::c", 2)]),
+        ("store", "var a; var b; L0: a := new(1); b := new(2); a.f := b;",
+         [("missing_field_site", 1, "f", 2)]),
+        (None, "var gvnTmp__gvn1; L0: gvnTmp__gvn1 := Null;",
+         [("tagged_null", "main::gvnTmp__gvn1")]),
+    ],
+)
+def test_soundness_violation_details(rule, body, expected):
+    """Each kind of miss, trace aside, read from single bits of the solution."""
+    program = parse_ok(f"procedure main() {{ {body} return; }}")
+    sol = solve_worklist(generate_constraints(program, disable_rule=rule))
+    assert [v[:-1] for v in check_solution_soundness(program, sol, 32)] == expected
+
+
 def test_empty_program_sound():
     program = parse_ok("procedure main() { L1: return; }")
     sol = solve_worklist(generate_constraints(program))

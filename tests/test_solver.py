@@ -6,21 +6,26 @@ from nullgvn.corpus import GeneratorConfig, generate
 from nullgvn.gvn import do_gvn
 from nullgvn.ir import (
     Alloc,
+    Assert,
     Assign,
     Block,
+    NullCheck,
     Path,
     Procedure,
     Program,
     Return,
+    Store,
     NULL_SITE,
     is_tagged,
 )
 from nullgvn.normalize import lift_loops, to_ssa
 from nullgvn.solver import (
+    NULL_BIT,
     SAFE,
     UNPROVED,
     Constraints,
     classify_assertions,
+    eval_abstract,
     generate_constraints,
     solve_naive,
     solve_worklist,
@@ -218,6 +223,24 @@ def test_huge_site_ids_stay_cheap():
     assert sol.pt_field(big, "f") == {bigger} and sol.pt("x") == {bigger}
 
 
+def test_worklist_pops_each_fan_in_node_once():
+    """20 allocated sources copy into one join, which feeds a 51-key copy
+    chain. Sources come before the join and the join before the chain, so
+    every node is popped once; a LIFO worklist walks the chain once per
+    source (1,060 pops). A plain copy chain cannot tell the two apart."""
+    sources = [f"s{i}" for i in range(20)]
+    chain = [f"c{i}" for i in range(51)]
+    cons = Constraints(
+        base=[(s, i + 1) for i, s in enumerate(sources)],
+        copies=[*zip(["join", *chain], chain), *((s, "join") for s in sources)],
+    )
+    sol = solve_worklist(cons)
+    assert sol == solve_naive(cons)
+    assert sol.pt("c50") == set(range(1, 21))
+    assert len(sol.ids) == 72
+    assert sol.pops == 72
+
+
 def test_filter_schedules_can_differ(bundled):
     """The in-loop filter is strictly stronger: filtering once per pass lets
     Null transit a tagged variable inside a single pass."""
@@ -308,3 +331,68 @@ def test_worklist_beats_naive_on_long_chain():
     assert fast == slow
     assert fast.pt("main::c10000") == {1}
     assert t_slow >= 10 * t_fast, f"naive {t_slow:.3f}s vs worklist {t_fast:.3f}s"
+
+
+# -- bitset verdicts against sets ----------------------------------------------------
+
+
+def eval_sets(sol, proc_name, path, globals_):
+    """Set-based reference for eval_abstract, over materialized sets."""
+    sites = set(sol.var_pt.get(var_key(proc_name, path.base, globals_), ()))
+    for f in path.fields:
+        sites = {NULL_SITE}.union(*(sol.field_pt.get((site, f), ()) for site in sites))
+    return sites
+
+
+def query_paths(program):
+    """(proc, path): every assert path, every assigned path, and every
+    asserted variable read through one and two of the program's fields."""
+    stmts = [(p.name, s) for p in program.procedures for b in p.blocks for s in b.stmts]
+    fields = sorted(
+        {f for _, s in stmts if isinstance(s, Assign) for f in s.rhs.fields}
+        | {s.field for _, s in stmts if isinstance(s, Store)}
+    )
+    for proc_name, stmt in stmts:
+        if isinstance(stmt, Assign):
+            yield proc_name, stmt.rhs
+        elif isinstance(stmt, Assert) and isinstance(stmt.cond, NullCheck):
+            base = stmt.cond.path.base
+            yield proc_name, stmt.cond.path
+            yield from ((proc_name, Path(base, (f,))) for f in fields)
+            yield from ((proc_name, Path(base, (f, g))) for f in fields for g in fields)
+
+
+def check_bits_against_sets(program) -> int:
+    """eval_abstract on the worklist bitsets gives the same sites, and so
+    the same Null verdict, as a set-based evaluation over solve_naive, and
+    classification agrees on both solutions. Returns the number of
+    multi-field paths compared."""
+    cons = generate_constraints(program)
+    fast, naive = solve_worklist(cons), solve_naive(cons)
+    globals_ = set(program.globals)
+    multi = 0
+    for proc_name, path in query_paths(program):
+        bits = eval_abstract(fast, proc_name, path, globals_)
+        sites = eval_sets(naive, proc_name, path, globals_)
+        assert set(fast.sites(bits)) == sites, (proc_name, str(path))
+        assert (not bits & NULL_BIT) == (NULL_SITE not in sites), (proc_name, str(path))
+        multi += len(path.fields) > 1
+    verdicts = [a.verdict for a in classify_assertions(program, fast).per_assert]
+    assert verdicts == [a.verdict for a in classify_assertions(program, naive).per_assert]
+    return multi
+
+
+def test_bit_verdicts_match_sets_on_corpus(bundled):
+    multi = 0
+    for name, program in bundled.items():
+        ssa = to_ssa(lift_loops(program))
+        multi += check_bits_against_sets(ssa) + check_bits_against_sets(do_gvn(ssa))
+    assert multi
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 5000))
+def test_bit_verdicts_match_sets_generated(seed):
+    ssa = to_ssa(lift_loops(generate(GeneratorConfig(seed=seed))))
+    check_bits_against_sets(ssa)
+    check_bits_against_sets(do_gvn(ssa))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -148,13 +149,15 @@ def cmd_check_semantics(args) -> int:
     return EXIT_OK
 
 
-CONFIG_KEYS = (
-    "seed", "max_procs", "max_blocks", "max_stmts", "null_check_density", "loop_prob",
-    *(f"weight_{kind}" for kind in corpus.DEFAULT_WEIGHTS),
-)
+# The type of each numeric generator setting, taken from its default.
+CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(corpus.GeneratorConfig)
+                if f.name != "weights"}
+CONFIG_KEYS = (*CONFIG_TYPES, *(f"weight_{kind}" for kind in corpus.DEFAULT_WEIGHTS))
 
 
 def _config_from_args(args) -> corpus.GeneratorConfig:
+    """The defaults of `GeneratorConfig`, overridden by the config file and
+    then by the command-line flags of the same name."""
     values: dict[str, str] = {}
     if args.config:
         for number, raw in enumerate(_read(args.config).splitlines(), 1):
@@ -168,30 +171,19 @@ def _config_from_args(args) -> corpus.GeneratorConfig:
                     [Diagnostic("error", f"line {number}: {problem}", where=args.config)]
                 )
             values[key] = value
+    weights = dict(corpus.DEFAULT_WEIGHTS)
+    changes = {
+        key: flag for key in CONFIG_TYPES if (flag := getattr(args, key, None)) is not None
+    }
     try:
-        weights = dict(corpus.DEFAULT_WEIGHTS)
         for key, value in values.items():
             if key.startswith("weight_"):
                 weights[key[len("weight_"):]] = float(value)
-        return corpus.GeneratorConfig(
-            seed=args.seed if args.seed is not None else int(values.get("seed", 0)),
-            max_procs=int(values.get("max_procs", 2)),
-            max_blocks=int(values.get("max_blocks", 4)),
-            max_stmts=int(values.get("max_stmts", 4)),
-            weights=tuple(weights.items()),
-            null_check_density=(
-                args.null_check_density
-                if args.null_check_density is not None
-                else float(values.get("null_check_density", 0.85))
-            ),
-            loop_prob=(
-                args.loop_prob
-                if args.loop_prob is not None
-                else float(values.get("loop_prob", 0.15))
-            ),
-        )
+            elif key not in changes:
+                changes[key] = CONFIG_TYPES[key](value)
     except ValueError as exc:  # a config value that is not a number
         raise InputError([Diagnostic("error", str(exc), where=args.config)]) from exc
+    return dataclasses.replace(corpus.GeneratorConfig(), weights=tuple(weights.items()), **changes)
 
 
 def cmd_gen(args) -> int:

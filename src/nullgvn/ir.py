@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 # Allocation sites are plain non-negative ints; site 0 stands for Null.
 NULL_SITE = 0
@@ -13,6 +15,8 @@ NULL_SITE = 0
 _TAGGED_RE = re.compile(r"__gvn(\d+)$")
 _VERSION_RE = re.compile(r"^(.+?)__(\d+)$")
 _GENERATED_RE = re.compile(r"__(gvn)?\d+$")
+
+T = TypeVar("T")
 
 
 def is_tagged(name: str) -> bool:
@@ -186,11 +190,7 @@ class Procedure:
 
     def scope_vars(self) -> list[str]:
         """Procedure-scope variables in declaration order (no duplicates)."""
-        seen: list[str] = []
-        for name in (*self.params, *self.locals, *self.returns):
-            if name not in seen:
-                seen.append(name)
-        return seen
+        return list(dict.fromkeys((*self.params, *self.locals, *self.returns)))
 
 
 @dataclass
@@ -280,28 +280,39 @@ def predecessors(proc: Procedure) -> dict[str, list[str]]:
     return preds
 
 
-def cfg_is_acyclic(proc: Procedure) -> bool:
-    """True iff the block-level goto graph has no cycle."""
-    succ = successors(proc)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {b.label: WHITE for b in proc.blocks}
-    for start in color:
-        if color[start] != WHITE:
+def postorder(succ: Mapping[T, Iterable[T]], roots: Iterable[T]) -> list[T]:
+    """The nodes reachable from `roots`, in depth-first post-order.
+
+    Roots and each node's successors are taken in the order given; a node
+    is visited once, from the first root and edge that reaches it. The walk
+    keeps its own stack, so long chains need no recursion.
+    """
+    post: list[T] = []
+    seen: set[T] = set()
+    for root in roots:
+        if root in seen:
             continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = GREY
+        seen.add(root)
+        stack = [(root, iter(succ[root]))]
         while stack:
-            label, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                color[label] = BLACK
+            node, out = stack[-1]
+            for nxt in out:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(succ[nxt])))
+                    break
+            else:
                 stack.pop()
-            elif color[nxt] == GREY:
-                return False
-            elif color[nxt] == WHITE:
-                color[nxt] = GREY
-                stack.append((nxt, iter(succ[nxt])))
-    return True
+                post.append(node)
+    return post
+
+
+def cfg_is_acyclic(proc: Procedure) -> bool:
+    """True iff the block-level goto graph has no cycle: every edge, a
+    self-loop included, runs forward in reverse post-order."""
+    succ = successors(proc)
+    rank = {label: i for i, label in enumerate(reversed(postorder(succ, succ)))}
+    return all(rank[u] < rank[v] for u, targets in succ.items() for v in targets)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .ir import (
     Store,
     cfg_is_acyclic,
     make_version,
+    postorder,
     predecessors,
     stmt_reads,
     stmt_writes,
@@ -108,16 +109,7 @@ def _back_edges(proc: Procedure, dom: dict[str, set[str]]) -> list[tuple[str, st
 
 def _loop_body(proc: Procedure, header: str, latches: list[str]) -> set[str]:
     """Natural loop body: header plus blocks reaching a latch without passing it."""
-    preds = predecessors(proc)
-    body = {header}
-    work = [l for l in latches if l != header]
-    while work:
-        b = work.pop()
-        if b in body:
-            continue
-        body.add(b)
-        work.extend(preds[b])
-    return body
+    return {header, *postorder({**predecessors(proc), header: []}, latches)}
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -156,14 +148,7 @@ def _retarget(block: Block, mapping: dict[str, str]) -> None:
 
 
 def _prune_unreachable(proc: Procedure) -> None:
-    succ = successors(proc)
-    seen = {proc.entry_block}
-    work = [proc.entry_block]
-    while work:
-        for t in succ[work.pop()]:
-            if t not in seen:
-                seen.add(t)
-                work.append(t)
+    seen = set(postorder(successors(proc), [proc.entry_block]))
     proc.blocks = [b for b in proc.blocks if b.label in seen]
 
 
@@ -190,32 +175,15 @@ def _lift_one(program: Program, proc: Procedure, header: str, latches: list[str]
 
     if len(exit_targets) == 1:
         region = body
-        reads, writes = _region_vars(proc, region, globals_)
-        params, returns = reads, writes
+        params, returns = _region_vars(proc, region, globals_)
+        new_locals = []  # every variable the body mentions is passed in or out
     else:
         # Whole continuation: everything reachable from the header.
-        region = {header}
-        work = [header]
-        while work:
-            for t in succ[work.pop()]:
-                if t not in region:
-                    region.add(t)
-                    work.append(t)
-        reads, _ = _region_vars(proc, region, globals_)
+        region = set(postorder(succ, [header]))
+        reads, writes = _region_vars(proc, region, globals_)
         params = [v for v in proc.scope_vars() if v in set(reads) | set(proc.returns)]
         returns = list(proc.returns)
-
-    mentioned: set[str] = set()
-    for b in proc.blocks:
-        if b.label in region:
-            for stmt in b.stmts:
-                mentioned.update(stmt_reads(stmt))
-                mentioned.update(stmt_writes(stmt))
-    new_locals = [
-        v
-        for v in proc.scope_vars()
-        if v in mentioned and v not in params and v not in returns
-    ]
+        new_locals = [v for v in writes if v not in params and v not in returns]
 
     region_blocks = [block_map[header]] + [
         b for b in proc.blocks if b.label in region and b.label != header
@@ -272,11 +240,10 @@ def lift_loops(program: Program) -> Program:
     """
     prog = program.clone()
     budget = 10_000
-    while True:
-        todo = None
-        for proc in prog.procedures:
-            if cfg_is_acyclic(proc):
-                continue
+    # Lifting rewrites only the current procedure and appends the lifted
+    # one, which this loop then visits in turn.
+    for proc in prog.procedures:
+        while not cfg_is_acyclic(proc):
             dom = dominators(proc)
             edges = _back_edges(proc, dom)
             if not edges:
@@ -288,22 +255,17 @@ def lift_loops(program: Program) -> Program:
                     )
                 )
             # Outermost header first: smallest dominator set is nearest the entry.
-            headers = sorted(
+            header = min(
                 {h for _, h in edges},
                 key=lambda h: (len(dom[h]), [b.label for b in proc.blocks].index(h)),
             )
-            header = headers[0]
-            latches = [u for u, h in edges if h == header]
-            todo = (proc, header, latches)
-            break
-        if todo is None:
-            return prog
-        budget -= 1
-        if budget < 0:
-            raise LiftError(
-                Diagnostic("error", "loop lifting did not converge", where="program")
-            )
-        _lift_one(prog, *todo)
+            budget -= 1
+            if budget < 0:
+                raise LiftError(
+                    Diagnostic("error", "loop lifting did not converge", where="program")
+                )
+            _lift_one(prog, proc, header, [u for u, h in edges if h == header])
+    return prog
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,11 @@ Grammar (line comments with //, `*` is an opaque condition):
     transfer  := "goto" idlist ";" | "return" ";"
 
 Type annotations are accepted and discarded (values are untyped pointers).
-Identifiers containing `__` are reserved for generated names (SSA versions
-and tagged temporaries) and rejected in source text.
+Source text may use `__` in a name only in the two generated shapes, SSA
+versions like `x__2` and tagged temporaries like `gvnTmp__gvn1`, so that
+transformed listings re-parse (`ir.is_reserved_name`). A tagged name in
+source is trusted as non-null: ROADMAP item 7, the strict xfail
+`test_source_tagged_name_not_proved`.
 """
 
 from __future__ import annotations

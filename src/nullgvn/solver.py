@@ -16,12 +16,14 @@ evaluates to Null at runtime, so every read contributes the Null site to
 its target in addition to the conditional rule.
 
 `solve_worklist` numbers var keys in reverse post-order of the copy graph
-and pops its worklist smallest id first, so a key is visited after the keys
-that copy into it (topological propagation, as in Pereira & Berlin's wave
-propagation, CGO'09). Its `PointsToSolution` is a view over the solver's
-int bitsets, Null as bit 0: verdicts and the soundness replay test bits,
-and sets are built only when a caller asks for them. `solve_naive` is the
-set-based reference and packs its result into the same view.
+(`_copy_order`, the shared depth-first walk `ir.postorder` over the copy
+edges) and pops its worklist smallest id first, so a key is visited after
+the keys that copy into it (topological propagation, as in Pereira &
+Berlin's wave propagation, CGO'09). Its `PointsToSolution` is a view over
+the solver's int bitsets, Null as bit 0: verdicts and the soundness replay
+test bits, and sets are built only when a caller asks for them.
+`solve_naive` is the set-based reference and packs its result into the
+same view.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .ir import (
     Store,
     NULL_SITE,
     is_tagged,
+    postorder,
 )
 
 RULES = ("alloc", "null", "copy", "load", "store")
@@ -291,32 +294,13 @@ def solve_naive(constraints: Constraints, schedule: str = "per_statement") -> Po
 
 
 def _copy_order(copies: list[tuple[str, str]]) -> list[str]:
-    """The keys of the copy graph in reverse post-order, from an iterative
-    depth-first search: where the graph has no cycle, every key comes after
-    all the keys that copy into it."""
+    """The keys of the copy graph in reverse post-order: where the graph has
+    no cycle, every key comes after all the keys that copy into it."""
     succ: dict[str, list[str]] = {}
     for src, dst in copies:
         succ.setdefault(src, []).append(dst)
         succ.setdefault(dst, [])
-    post: list[str] = []
-    seen: set[str] = set()
-    for root in succ:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            key, out = stack[-1]
-            for dst in out:
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append((dst, iter(succ[dst])))
-                    break
-            else:
-                stack.pop()
-                post.append(key)
-    post.reverse()
-    return post
+    return postorder(succ, succ)[::-1]
 
 
 def solve_worklist(constraints: Constraints) -> PointsToSolution:

@@ -11,7 +11,7 @@ from nullgvn import corpus
 from nullgvn.cli import main
 from nullgvn.corpus import bundled_sources
 from nullgvn.interp import enumerate_traces, is_truncated
-from nullgvn.parse import parse_program
+from nullgvn.parse import parse_program, print_program
 from nullgvn.pipeline import transform_program
 
 from conftest import mutated_program
@@ -136,6 +136,13 @@ def test_gen_config_file(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "--config", cfg)
     assert code == 0
     assert "procedure main()" in out
+    default = print_program(corpus.generate(corpus.GeneratorConfig()))
+    cfg.write_text("", encoding="utf-8")
+    assert run(capsys, "gen", "--config", cfg) == (0, default, "")
+    assert run(capsys, "gen") == (0, default, "")
+    cfg.write_text("seed=3\nloop_prob=0.5\n", encoding="utf-8")  # the flags win
+    assert run(capsys, "gen", "--config", cfg, "--seed", "0", "--loop-prob", "0.15") == (
+        0, default, "")
 
 
 COVERAGE = re.compile(

@@ -1,7 +1,10 @@
+from hypothesis import given, settings, strategies as st
+
 from nullgvn.ir import (
     Alloc,
     Assign,
     Block,
+    Goto,
     Path,
     Procedure,
     Program,
@@ -11,9 +14,11 @@ from nullgvn.ir import (
     is_tagged,
     make_version,
     original_name,
+    postorder,
     tag_index,
     validate,
 )
+from nullgvn.normalize import CycleError, topo_sort
 
 from conftest import parse_ok
 
@@ -31,6 +36,12 @@ def test_tagged_naming():
     assert tag_index("x__2") is None
     assert is_reserved_name("a__b")
     assert not any(map(is_reserved_name, ["x", "x__2", "gvnTmp__gvn1"]))
+
+
+def test_scope_vars_first_occurrence_order():
+    proc = Procedure("p", ["a", "b", "a"], ["r", "b", "s"], ["c", "a", "r", "c"],
+                     [Block("L1", [], Return())], "L1")
+    assert proc.scope_vars() == ["a", "b", "c", "r", "s"]
 
 
 def test_validate_clean_program(bundled):
@@ -137,3 +148,60 @@ def test_cfg_diamond():
         """
     )
     assert cfg_is_acyclic(p.procedures[0])
+
+
+def reference_postorder(succ, roots):
+    """Recursive depth-first post-order, the textbook definition."""
+    post, seen = [], set()
+
+    def visit(node):
+        seen.add(node)
+        for nxt in succ[node]:
+            if nxt not in seen:
+                visit(nxt)
+        post.append(node)
+
+    for root in roots:
+        if root not in seen:
+            visit(root)
+    return post
+
+
+@st.composite
+def digraph(draw):
+    """Successor lists over up to 12 nodes, with self-loops and duplicate
+    targets, plus a shuffled list of roots that may repeat."""
+    n = draw(st.integers(1, 12))
+    succ = {f"B{i}": draw(st.lists(st.sampled_from([f"B{j}" for j in range(n)]), max_size=4))
+            for i in range(n)}
+    roots = draw(st.permutations(list(succ)))
+    roots = roots[: draw(st.integers(0, n))] + draw(st.lists(st.sampled_from(list(succ)), max_size=3))
+    return succ, roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=digraph())
+def test_postorder_matches_recursive_dfs(graph):
+    succ, roots = graph
+    assert postorder(succ, roots) == reference_postorder(succ, roots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=digraph())
+def test_cfg_is_acyclic_iff_topo_sort_succeeds(graph):
+    succ, _ = graph
+    blocks = [Block(label, [], Goto(tuple(targets)) if targets else Return())
+              for label, targets in succ.items()]
+    proc = Procedure("main", [], [], [], blocks, blocks[0].label)
+    try:
+        topo_sort(proc)
+    except CycleError:
+        assert not cfg_is_acyclic(proc)
+    else:
+        assert cfg_is_acyclic(proc)
+
+
+def test_postorder_long_chain_needs_no_recursion():
+    n = 20_000
+    succ = {i: [i + 1] for i in range(n)} | {n: []}
+    assert postorder(succ, [0]) == list(range(n, -1, -1))

@@ -9,9 +9,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nullgvn.corpus import GeneratorConfig, generate
-from nullgvn.gvn import check_tagged_dominance, do_gvn
-from nullgvn.interp import check_solution_soundness, enumerate_traces, traces_diff
-from nullgvn.normalize import lift_loops, to_ssa
+from nullgvn.gvn import check_tagged_dominance
+from nullgvn.interp import check_solution_soundness
+from nullgvn.pipeline import stage_witnesses, transform_program
 from nullgvn.solver import generate_constraints, solve_naive, solve_worklist
 
 
@@ -25,16 +25,12 @@ def main() -> int:
     failures = 0
     for seed in range(args.seeds):
         program = generate(GeneratorConfig(seed=seed, loop_prob=args.loop_prob))
-        lifted = lift_loops(program)
-        ssa = to_ssa(lifted)
-        transformed = do_gvn(ssa)
-        reference = enumerate_traces(program, args.depth)
-        for stage, prog in (("lift", lifted), ("ssa", ssa), ("gvn", transformed)):
-            diff = traces_diff(reference, enumerate_traces(prog, args.depth))
-            if diff is not None:
+        for stage, witness in stage_witnesses(program, args.depth):
+            if witness is not None:
                 print(f"seed {seed}: {stage} changed the trace set")
-                print(diff)
+                print(witness)
                 failures += 1
+        transformed, _ = transform_program(program, "ssa+gvn")
         cons = generate_constraints(transformed)
         solution = solve_worklist(cons)
         if solve_naive(cons) != solution:

@@ -94,8 +94,7 @@ def _check_semantics(original, transformed, depth: int, dump: str | None) -> str
         with _open_output(dump) as fp:
             interp.dump_traces_jsonl(a, "original", fp)
             interp.dump_traces_jsonl(b, "transformed", fp)
-    cut_a = sum(map(interp.is_truncated, a))
-    cut_b = sum(map(interp.is_truncated, b))
+    cut_a, cut_b = a.truncated, b.truncated
     if cut_a == len(a) and cut_b == len(b):
         raise InputError([Diagnostic(
             "error",

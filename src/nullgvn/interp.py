@@ -27,9 +27,38 @@ assignment can be told apart from a reassignment. A callee's frame starts
 from its caller's values: loop lifting turns a loop into a callee that
 continues its caller's frame, and a program and its lifted version must
 record the same assignments.
+
+Forked paths share what they have in common, so a run costs in proportion
+to the events the engine emits, not to traces times their length:
+
+- A state keeps only the events emitted since its last fork. Older events
+  sit in the run's table of frozen segments, each segment with its parent,
+  and forked siblings continue the same segment chain: a fork copies no
+  trace, and `full_trace` rebuilds one only for an observer report or when
+  a result is read.
+- Forked siblings share their caller frames and heap objects: a return
+  copies the caller's frame before writing it, and a store replaces the
+  object it writes.
+- Each event is projected (see `project_trace`) as it is emitted, into one
+  trie of projected traces per run. A trie node maps each projected event to
+  its child and carries `_END` where a complete trace ends and
+  `_TRUNCATED_END` where the body of a truncated trace (the trace without
+  its truncation marker) ends.
+- Each state keeps a rolling hash of its raw trace. A finished trace whose
+  hash was seen before is compared with the earlier traces with that hash,
+  event by event, so duplicates are removed exactly.
+
+`enumerate_traces` returns a `Traces`: the distinct raw traces in
+completion order, rebuilt from their segments when read, with their
+truncated count and the run's projected trie, which `traces_diff` compares
+without reading a trace.
 """
 
 from __future__ import annotations
+
+from array import array
+from collections.abc import Sequence
+from operator import eq
 
 from .ir import (
     Alloc,
@@ -53,41 +82,123 @@ _MISSING = object()
 
 TRUNCATED = ("truncated",)
 
+# Marks in a projected trie node: a complete trace ends here / the body of a
+# truncated trace ends here. Event keys are tuples, so these never collide.
+_END = object()
+_TRUNCATED_END = object()
+
 
 class TraceLimitError(Exception):
     """More traces than the configured cap; exploration was aborted."""
 
 
+def _mix(digest: int, ev: tuple) -> int:
+    """The rolling hash of a trace extended by one raw event."""
+    return hash((digest, ev))
+
+
+class _Segments:
+    """The frozen event segments of one run, which all its states share.
+
+    Segment i holds `log[bounds[i]:bounds[i + 1]]` and continues segment
+    `parents[i]` (nothing when -1); a trace is a segment with its ancestors.
+    """
+
+    __slots__ = ("log", "bounds", "parents")
+
+    def __init__(self):
+        self.log: list = []
+        self.bounds = array("q", [0])
+        self.parents = array("q")
+
+    def add(self, events: list, parent: int) -> int:
+        """Freeze `events` as a new segment after `parent`; its index."""
+        self.log.extend(events)
+        self.bounds.append(len(self.log))
+        self.parents.append(parent)
+        return len(self.parents) - 1
+
+    def same(self, i: int, j: int) -> bool:
+        """Whether segments i and j hold the same events after the same parent."""
+        b = self.bounds
+        return (self.parents[i] == self.parents[j]
+                and self.log[b[i]:b[i + 1]] == self.log[b[j]:b[j + 1]])
+
+    def trace(self, i: int, tail=()) -> tuple:
+        """The events of segment `i` and its ancestors, oldest first, then `tail`."""
+        chain = []
+        while i >= 0:
+            chain.append(i)
+            i = self.parents[i]
+        out = []
+        for i in reversed(chain):
+            out += self.log[self.bounds[i]:self.bounds[i + 1]]
+        out += tail
+        return tuple(out)
+
+
+def _copy_frame(frame: list) -> list:
+    """A copy of a frame that shares none of the dicts a step writes."""
+    p, l, i, v, a, s = frame
+    return [p, l, i, dict(v), a, dict(s)]
+
+
 class _State:
     __slots__ = (
-        "frames", "heap", "globals", "steps", "next_uid", "next_activation",
-        "trace", "user", "halted",
+        "frames", "shared", "heap", "globals", "steps", "next_uid", "next_activation",
+        "segments", "events", "base", "digest", "values", "node", "user", "halted",
     )
 
     def __init__(self):
         # frame: [proc name, block label, stmt index, vars dict, activation id,
         #         source variable -> value]
         self.frames = []
-        self.heap = {}     # uid -> (site, {field: value}); value is None or uid
+        # Only the top frame is ever written. The frames below it are shared
+        # with forked siblings up to index `shared`, so a return copies the
+        # caller's frame before writing it when it lies below that index.
+        self.shared = 0
+        # uid -> (site, {field: value}); value is None or uid. Forks share the
+        # objects, so a store replaces its object instead of writing into it.
+        self.heap = {}
         self.globals = {}
         self.steps = 0
         self.next_uid = 1
         self.next_activation = 1
-        self.trace = []
+        # The trace: segment `base` of the run's `segments` with its
+        # ancestors (none when -1), then `events`, those since the last fork.
+        self.segments = _Segments()
+        self.events = []
+        self.base = -1
+        self.digest = 0    # rolling hash of the whole raw trace
+        self.values = {}   # projected name -> the value its projection last saw
+        self.node = None   # where the projected trace stands in the run's trie
         self.user = {}     # observer scratch space, cloned on branch
         self.halted = False
 
     def clone(self) -> "_State":
-        st = _State()
-        st.frames = [[p, l, i, dict(v), a, dict(s)] for p, l, i, v, a, s in self.frames]
-        st.heap = {uid: (site, dict(fs)) for uid, (site, fs) in self.heap.items()}
+        if self.events:
+            self.base = self.segments.add(self.events, self.base)
+            self.events = []
+        st = _State.__new__(_State)
+        st.frames = self.frames[:-1] + [_copy_frame(self.frames[-1])]
+        st.shared = self.shared = len(self.frames) - 1
+        st.heap = dict(self.heap)
         st.globals = dict(self.globals)
         st.steps = self.steps
         st.next_uid = self.next_uid
         st.next_activation = self.next_activation
-        st.trace = list(self.trace)
+        st.segments = self.segments
+        st.events = []
+        st.base = self.base
+        st.digest = self.digest
+        st.values = dict(self.values)
+        st.node = self.node
         st.user = dict(self.user)
+        st.halted = False
         return st
+
+    def full_trace(self) -> tuple:
+        return self.segments.trace(self.base, self.events)
 
     def summary(self, value):
         if value is None:
@@ -95,11 +206,52 @@ class _State:
         return ("loc", self.heap[value][0], value)
 
 
+class Traces(Sequence):
+    """The distinct raw traces of one run, in the order they completed.
+
+    Each trace is rebuilt from its segment chain when it is read, so taking
+    the length, the truncated count or the projected trie reads none.
+    """
+
+    __slots__ = ("_segments", "_ends", "truncated", "trie")
+
+    def __init__(self, segments: _Segments, ends: array, truncated: int, trie: dict):
+        self._segments = segments
+        self._ends = ends           # each trace's last segment
+        self.truncated = truncated  # how many traces end in `TRUNCATED`
+        self.trie = trie            # the projected trie of all the traces
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, i: int) -> tuple:
+        return self._segments.trace(self._ends[i])
+
+    def __iter__(self):
+        return map(self._segments.trace, self._ends)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 class _Engine:
     def __init__(self, program: Program, depth_bound: int, max_traces: int, observer=None):
         self.program = program
         self.procs = program.proc_map()
-        self.blocks = {p.name: p.block_map() for p in program.procedures}
+        # proc -> label -> (statements, distinct goto targets or None for return)
+        self.blocks = {
+            p.name: {
+                b.label: (
+                    b.stmts,
+                    tuple(dict.fromkeys(b.transfer.targets))
+                    if isinstance(b.transfer, Goto) else None,
+                )
+                for b in p.blocks
+            }
+            for p in program.procedures
+        }
         self.globals = set(program.globals)
         self.depth = depth_bound
         self.max_traces = max_traces
@@ -107,6 +259,10 @@ class _Engine:
         self.source = {
             v: original_name(v) for p in program.procedures for v in p.scope_vars()
         }
+        # raw event -> (the one copy of it the run keeps, its projection or
+        # None when the projection drops it)
+        self.memo: dict = {}
+        self.trie: dict = {}
 
     # -- state access --------------------------------------------------------
 
@@ -141,75 +297,110 @@ class _Engine:
             value = st.heap[value][1].get(f)
         return ("ok", value)
 
+    def emit(self, st: _State, ev: tuple) -> None:
+        """Append a raw event to the state's trace, and its projection, when
+        it has one, to the state's path in the projected trie; the body of a
+        truncated trace leaves the marker out, as `_unmatched` expects."""
+        known = self.memo.get(ev)
+        if known is None:
+            known = self.memo[ev] = (ev, _project_event(ev))
+        ev, p = known
+        st.events.append(ev)
+        st.digest = _mix(st.digest, ev)
+        if p is None or p is TRUNCATED:
+            return
+        if p[0] == "assign":
+            if st.values.get(p[1], _MISSING) == p[2]:
+                return
+            st.values[p[1]] = p[2]
+        child = st.node.get(p)
+        if child is None:
+            child = st.node[p] = {}
+        st.node = child
+
     # -- execution -----------------------------------------------------------
 
-    def run(self):
+    def run(self) -> Traces:
         entry = self.procs[self.program.entry]
         start = _State()
         start.frames = [[entry.name, entry.entry_block, 0, {}, 0, {}]]
+        start.node = self.trie
         stack = [start]
-        traces: list[tuple] = []
-        seen = set()
+        segments = start.segments
+        ends = array("q")
+        first: dict[int, int] = {}  # rolling hash -> last segment of its first trace
+        clashes: dict[int, set] = {}  # rolling hash -> its distinct full traces
+        truncated = 0
         while stack:
             st = stack.pop()
-            finished = self.advance(st, stack)
-            if finished:
-                t = tuple(st.trace)
-                if t not in seen:
-                    seen.add(t)
-                    traces.append(t)
-                    if len(traces) > self.max_traces:
-                        raise TraceLimitError(
-                            f"exceeded {self.max_traces} traces at depth {self.depth}"
-                        )
-        return tuple(traces)
+            if not self.advance(st, stack):
+                continue
+            cut = st.events[-1] is TRUNCATED
+            st.node[_TRUNCATED_END if cut else _END] = True
+            end = segments.add(st.events, st.base)
+            earlier = first.setdefault(st.digest, end)
+            if earlier != end:
+                if segments.same(earlier, end):
+                    continue
+                seen = clashes.get(st.digest)
+                if seen is None:
+                    seen = clashes[st.digest] = {segments.trace(earlier)}
+                trace = segments.trace(end)
+                if trace in seen:
+                    continue
+                seen.add(trace)
+            ends.append(end)
+            truncated += cut
+            if len(ends) > self.max_traces:
+                raise TraceLimitError(
+                    f"exceeded {self.max_traces} traces at depth {self.depth}"
+                )
+        return Traces(segments, ends, truncated, self.trie)
 
     def advance(self, st: _State, stack: list) -> bool:
         """Run a state until its trace ends (True) or it forks (False,
         children pushed onto the stack, first choice on top)."""
-        while True:
-            if st.halted:
-                return True
-            proc, label, idx = st.frames[-1][:3]
-            block = self.blocks[proc][label]
+        blocks = self.blocks
+        observer = self.observer
+        frames = st.frames
+        while not st.halted:
             if st.steps >= self.depth:
-                st.trace.append(TRUNCATED)
+                self.emit(st, TRUNCATED)
                 return True
             st.steps += 1
-            if idx >= len(block.stmts):
-                result = self.transfer(st, block.transfer)
+            frame = frames[-1]
+            stmts, targets = blocks[frame[0]][frame[1]]
+            idx = frame[2]
+            if idx < len(stmts):
+                loc = (frame[0], frame[1], idx)
+                if observer is not None:
+                    observer.before_stmt(loc, st)
+                result = self.execute(st, stmts[idx], loc)
+            elif targets is None:
+                result = self.ret(st)
+            elif len(targets) == 1:
+                frame[1] = targets[0]
+                frame[2] = 0
+                continue
             else:
-                loc = (proc, label, idx)
-                stmt = block.stmts[idx]
-                if self.observer is not None:
-                    self.observer.before_stmt(loc, st)
-                result = self.execute(st, stmt, loc)
+                # The last successor takes over the forking state itself.
+                result = [st.clone() for _ in targets[1:]] + [st]
+                for child, t in zip(result, targets):
+                    frame = child.frames[-1]
+                    frame[1] = t
+                    frame[2] = 0
             if result is True:
                 return True
             if result is False:
                 continue
             # A list of alternative successor states: depth-first, first
             # alternative explored first.
-            for child in reversed(result):
-                stack.append(child)
+            stack.extend(reversed(result))
             return False
+        return True
 
-    def transfer(self, st: _State, transfer):
-        if isinstance(transfer, Goto):
-            targets = list(dict.fromkeys(transfer.targets))
-            if len(targets) == 1:
-                frame = st.frames[-1]
-                frame[1] = targets[0]
-                frame[2] = 0
-                return False
-            # The last successor takes over the forking state itself.
-            children = [st.clone() for _ in targets[1:]] + [st]
-            for child, t in zip(children, targets):
-                frame = child.frames[-1]
-                frame[1] = t
-                frame[2] = 0
-            return children
-        # Return
+    def ret(self, st: _State) -> bool:
+        """Return from the current procedure; True when the trace ends."""
         callee_frame = st.frames.pop()
         callee = self.procs[callee_frame[0]]
         if not st.frames:
@@ -217,10 +408,13 @@ class _Engine:
             for r in callee.returns:
                 v = callee_frame[3].get(r, _MISSING)
                 values.append("undef" if v is _MISSING else st.summary(v))
-            st.trace.append(("return", tuple(values)))
+            self.emit(st, ("return", tuple(values)))
             return True
         caller = st.frames[-1]
-        call_stmt = self.blocks[caller[0]][caller[1]].stmts[caller[2]]
+        if len(st.frames) <= st.shared:
+            caller = st.frames[-1] = _copy_frame(caller)
+            st.shared = len(st.frames) - 1
+        call_stmt = self.blocks[caller[0]][caller[1]][0][caller[2]]
         for out, ret in zip(call_stmt.outs, callee.returns):
             v = callee_frame[3].get(ret, _MISSING)
             if v is not _MISSING:
@@ -232,51 +426,52 @@ class _Engine:
         proc = loc[0]
         frame = st.frames[-1]
 
-        def step() -> bool:
-            frame[2] += 1
-            return False
-
         if isinstance(stmt, Assign):
             status, payload = self.eval_path(st, stmt.rhs)
             if status == "unassigned":
-                st.trace.append(("unassigned", loc, payload))
+                self.emit(st, ("unassigned", loc, payload))
                 return True
             if status == "null_deref":
-                st.trace.append(("null_deref", loc))
+                self.emit(st, ("null_deref", loc))
                 return True
             kind = "assign" if self.bind(st, proc, stmt.lhs, payload) else "reassign"
-            st.trace.append((kind, stmt.lhs, st.summary(payload)))
-            return step()
+            self.emit(st, (kind, stmt.lhs, st.summary(payload)))
+            frame[2] += 1
+            return False
 
         if isinstance(stmt, Alloc):
             uid = st.next_uid
             st.next_uid += 1
             st.heap[uid] = (stmt.site, {})
             kind = "assign" if self.bind(st, proc, stmt.lhs, uid) else "reassign"
-            st.trace.append((kind, stmt.lhs, st.summary(uid)))
-            return step()
+            self.emit(st, (kind, stmt.lhs, ("loc", stmt.site, uid)))
+            frame[2] += 1
+            return False
 
         if isinstance(stmt, AssignNull):
             kind = "assign" if self.bind(st, proc, stmt.lhs, None) else "reassign"
-            st.trace.append((kind, stmt.lhs, "null"))
-            return step()
+            self.emit(st, (kind, stmt.lhs, "null"))
+            frame[2] += 1
+            return False
 
         if isinstance(stmt, Store):
             base = self.lookup(st, stmt.base)
             if base is _MISSING:
-                st.trace.append(("unassigned", loc, stmt.base))
+                self.emit(st, ("unassigned", loc, stmt.base))
                 return True
             if base is None:
-                st.trace.append(("null_deref", loc))
+                self.emit(st, ("null_deref", loc))
                 return True
             src = self.lookup(st, stmt.src)
             if src is _MISSING:
-                st.trace.append(("unassigned", loc, stmt.src))
+                self.emit(st, ("unassigned", loc, stmt.src))
                 return True
-            st.heap[base][1][stmt.field] = src
+            site, fields = st.heap[base]
+            st.heap[base] = (site, {**fields, stmt.field: src})
             if self.observer is not None:
-                self.observer.on_store(st.heap[base][0], stmt.field, src, st)
-            return step()
+                self.observer.on_store(site, stmt.field, src, st)
+            frame[2] += 1
+            return False
 
         if isinstance(stmt, (Assume, Assert)):
             is_assert = isinstance(stmt, Assert)
@@ -284,31 +479,32 @@ class _Engine:
             if isinstance(cond, Opaque):
                 other = st.clone()
                 other.halted = True
-                taken = st
-                taken.frames[-1][2] += 1
+                frame[2] += 1
                 if is_assert:
-                    taken.trace.append(("assert_pass", loc))
-                    other.trace.append(("assert_fail", loc))
+                    self.emit(st, ("assert_pass", loc))
+                    self.emit(other, ("assert_fail", loc))
                 else:
-                    other.trace.append(("assume_blocked", loc))
-                return [taken, other]
+                    self.emit(other, ("assume_blocked", loc))
+                return [st, other]
             status, payload = self.eval_path(st, cond.path)
             if status == "unassigned":
-                st.trace.append(("unassigned", loc, payload))
+                self.emit(st, ("unassigned", loc, payload))
                 return True
             if status == "null_deref":
-                st.trace.append(("null_deref", loc))
+                self.emit(st, ("null_deref", loc))
                 return True
             holds = (payload is not None) if cond.negated else (payload is None)
             if is_assert:
                 if holds:
-                    st.trace.append(("assert_pass", loc))
-                    return step()
-                st.trace.append(("assert_fail", loc))
+                    self.emit(st, ("assert_pass", loc))
+                    frame[2] += 1
+                    return False
+                self.emit(st, ("assert_fail", loc))
                 return True
             if holds:
-                return step()
-            st.trace.append(("assume_blocked", loc))
+                frame[2] += 1
+                return False
+            self.emit(st, ("assume_blocked", loc))
             return True
 
         if isinstance(stmt, Call):
@@ -337,7 +533,7 @@ def enumerate_traces(
     depth_bound: int,
     max_traces: int = DEFAULT_TRACE_CAP,
     observer=None,
-):
+) -> Traces:
     """All traces of the program up to the step budget, deterministically
     ordered, duplicates removed. Raises TraceLimitError past max_traces."""
     return _Engine(program, depth_bound, max_traces, observer).run()
@@ -368,12 +564,8 @@ def _project_event(ev: tuple):
 
 
 def _project(trace: tuple, memo: dict) -> tuple:
-    """project_trace with each raw event's projection looked up in `memo`.
-
-    Forked interpreter states share their event objects, so one memo over
-    all traces of a comparison projects each distinct event once, and every
-    projected trace holds the one projected tuple of each raw event.
-    """
+    """project_trace with each raw event's projection looked up in `memo`,
+    so that each distinct event of a set of traces is projected once."""
     values: dict[str, object] = {}
     out = []
     for ev in trace:
@@ -403,20 +595,18 @@ def project_trace(trace: tuple) -> tuple:
     return _project(trace, {})
 
 
-# Marks in a prefix trie node: a complete trace ends here / the body of a
-# truncated trace ends here. Event keys are tuples, so these never collide.
-_END = object()
-_TRUNCATED_END = object()
-
-
-def _prefix_trie(traces) -> dict:
-    """Nested dicts keyed by event over the traces' bodies (the traces with
-    any truncation marker stripped), each body's last node marked."""
+def _trie(traces) -> dict:
+    """The projected trie of a `Traces`, or of plain trace tuples projected
+    into the same shape a run builds."""
+    if isinstance(traces, Traces):
+        return traces.trie
+    memo: dict = {}
     root: dict = {}
     for t in traces:
-        truncated = is_truncated(t)
+        p = _project(t, memo)
+        truncated = is_truncated(p)
         node = root
-        for ev in t[:-1] if truncated else t:
+        for ev in p[:-1] if truncated else p:
             child = node.get(ev)
             if child is None:
                 child = node[ev] = {}
@@ -425,23 +615,43 @@ def _prefix_trie(traces) -> dict:
     return root
 
 
-def _has_match(trace: tuple, trie: dict) -> bool:
-    """Whether some trace of the trie is compatible with `trace`: equal when
-    both are complete, otherwise one body a prefix of the other, where only
-    a truncated trace's body may be the shorter one."""
-    truncated = is_truncated(trace)
-    node = trie
-    for ev in trace[:-1] if truncated else trace:
-        if _TRUNCATED_END in node:
-            return True
-        node = node.get(ev)
-        if node is None:
-            return False
-    if truncated:
-        # Every node of a non-empty trie lies on some body, which therefore
-        # extends this one; only the root of an empty trie is empty.
-        return bool(node)
-    return _END in node or _TRUNCATED_END in node
+def _unmatched(trie: dict, other: dict) -> list[tuple]:
+    """The projected traces of `trie` that no trace of `other` matches.
+
+    One iterative walk visits the nodes of `trie` with the node of `other`
+    at the same body (None once `other` has no such body). A complete trace
+    is matched when `other` ends a trace at its body; a truncated one when
+    some trace of `other` runs through its body's end. A truncated trace of
+    `other` matches every longer body below it, so the walk skips those.
+    """
+    unmatched = []
+    stack = [(trie, other, None)]  # path: (event, parent path) or None
+    while stack:
+        node, mate, path = stack.pop()
+        for mark in (_END, _TRUNCATED_END):
+            if mark not in node:
+                continue
+            if mate is not None and (
+                bool(mate) if mark is _TRUNCATED_END
+                else _END in mate or _TRUNCATED_END in mate
+            ):
+                continue
+            body = []
+            p = path
+            while p is not None:
+                ev, p = p
+                body.append(ev)
+            body.reverse()
+            if mark is _TRUNCATED_END:
+                body.append(TRUNCATED)
+            unmatched.append(tuple(body))
+        if mate is not None and _TRUNCATED_END in mate:
+            continue
+        for ev, child in node.items():
+            if ev is _END or ev is _TRUNCATED_END:
+                continue
+            stack.append((child, None if mate is None else mate.get(ev), (ev, path)))
+    return unmatched
 
 
 def traces_diff(a, b) -> str | None:
@@ -450,19 +660,16 @@ def traces_diff(a, b) -> str | None:
 
     Complete traces must match exactly. A truncated trace matches anything
     it is a prefix of: transformations change statement counts, so the
-    budget runs out at different logical points on the two sides. A trace
-    present on both sides matches itself, so only the set differences are
-    walked through a prefix trie of the other side; the witness is the
-    unmatched trace first in repr order.
+    budget runs out at different logical points on the two sides. Both
+    sides are compared as projected tries (a `Traces` carries its own; plain
+    trace tuples are projected into one first): one walk over each side's
+    trie, in step with the other's, finds the traces the other side does
+    not match, and the witness is the unmatched trace first in repr order,
+    left side first.
     """
-    memo: dict = {}
-    pa = {_project(t, memo) for t in a}
-    pb = {_project(t, memo) for t in b}
-    for side, extra, other in (("left", pa - pb, pb), ("right", pb - pa, pa)):
-        if not extra:
-            continue
-        trie = _prefix_trie(other)
-        unmatched = [x for x in extra if not _has_match(x, trie)]
+    ta, tb = _trie(a), _trie(b)
+    for side, trie, other in (("left", ta, tb), ("right", tb, ta)):
+        unmatched = _unmatched(trie, other)
         if unmatched:
             return f"trace only on the {side} side:\n  {min(unmatched, key=repr)}"
     return None
@@ -498,7 +705,7 @@ class _SoundnessObserver:
         if key in self._seen or len(self.violations) >= self.cap:
             return
         self._seen.add(key)
-        self.violations.append((*detail, tuple(st.trace)))
+        self.violations.append((*detail, st.full_trace()))
 
     def before_stmt(self, loc, st):
         pass
@@ -572,7 +779,7 @@ class _TermObserver:
             if prev is _MISSING:
                 st.user[key] = value
             elif prev != value and len(self.violations) < self.cap:
-                self.violations.append((term, loc, str(path), prev, value, tuple(st.trace)))
+                self.violations.append((term, loc, str(path), prev, value, st.full_trace()))
 
     def on_bind(self, proc, var, value, st):
         pass

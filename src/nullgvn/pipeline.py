@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass
 
 from . import gvn as gvn_mod
-from . import normalize, solver
+from . import interp, normalize, solver
 from .ir import Program
 
 TRANSFORM_LEVELS = ("none", "ssa", "ssa+gvn")
@@ -41,6 +41,20 @@ def transform_program(program: Program, level: str) -> tuple[Program, dict[str, 
         prog = gvn_mod.do_gvn(prog)
         timings["gvn"] = _ms(t0)
     return prog, timings
+
+
+def stage_witnesses(program: Program, depth: int) -> list[tuple[str, str | None]]:
+    """`(stage, witness)` for the lift, ssa and gvn stages, in that order:
+    the `traces_diff` witness of the stage's traces against the original's
+    at `depth`, or None when they are equivalent. The original is
+    enumerated once."""
+    reference = interp.enumerate_traces(program, depth)
+    lifted = normalize.lift_loops(program)
+    ssa = normalize.to_ssa(lifted)
+    return [
+        (stage, interp.traces_diff(reference, interp.enumerate_traces(prog, depth)))
+        for stage, prog in (("lift", lifted), ("ssa", ssa), ("gvn", gvn_mod.do_gvn(ssa)))
+    ]
 
 
 def _solve(

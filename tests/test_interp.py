@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nullgvn import interp
 from nullgvn.corpus import GeneratorConfig, generate
 from nullgvn.gvn import do_gvn
 from nullgvn.interp import (
@@ -8,6 +9,7 @@ from nullgvn.interp import (
     check_solution_soundness,
     check_term_consistency,
     enumerate_traces,
+    is_truncated,
     project_trace,
     traces_diff,
     traces_equivalent,
@@ -86,6 +88,63 @@ def test_depth_monotone(bundled):
             else:
                 body = t[:-1]
                 assert any(u[: len(body)] == body for u in big)
+
+
+def test_paths_with_one_raw_trace_give_one_trace():
+    program = parse_ok(
+        "procedure main() { L0: goto L1, L2; L1: goto L3; L2: goto L3; L3: return; }"
+    )
+    traces = enumerate_traces(program, 32)
+    assert len(traces) == 1 and traces.truncated == 0
+    assert list(traces) == [(("return", ()),)]
+
+
+def test_dedup_exact_when_every_rolling_hash_clashes(bundled, monkeypatch):
+    """Duplicates are found by comparing traces, not by their rolling hash."""
+    expected = {name: enumerate_traces(p, 48) for name, p in bundled.items()}
+    monkeypatch.setattr(interp, "_mix", lambda digest, ev: 0)
+    for name, program in bundled.items():
+        traces = enumerate_traces(program, 48)
+        assert traces == expected[name], name
+        assert traces.truncated == expected[name].truncated, name
+
+
+A_LOC = ("assign", "a", ("loc", 1, 1))
+B_LOC = ("assign", "b", ("loc", 2, 2))
+RETURN = ("return", ())
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        (
+            "procedure f() { var a; L0: a := Null; return; }"
+            "procedure main() { var a; L0: a := new(1); call f(); a := Null; return; }",
+            [(A_LOC, ("assign", "a", "null"), RETURN)],
+        ),
+        (
+            "procedure main() { var a; var b; var c; L0: a := new(1); b := new(2); goto L1, L2;"
+            " L1: a.f := b; goto L3; L2: goto L3; L3: c := a.f; return; }",
+            [(A_LOC, B_LOC, ("assign", "c", ("loc", 2, 2)), RETURN),
+             (A_LOC, B_LOC, ("assign", "c", "null"), RETURN)],
+        ),
+        (
+            "procedure f(var x : int) returns r : int {"
+            " L0: goto L1, L2; L1: r := x; return; L2: r := Null; return; }"
+            "procedure main() { var a; var b; L0: a := new(1); b := call f(a); a := b; return; }",
+            [(A_LOC, ("assign", "r", ("loc", 1, 1)), RETURN),
+             (A_LOC, ("assign", "r", "null"), ("assign", "a", "null"), RETURN)],
+        ),
+    ],
+    # main's `a := Null` repeats the value f's `a` left, so the projection
+    # drops it; a store on one arm stays out of the other arm's heap; each
+    # return from f writes its own copy of main's frame.
+    ids=["repeated-value", "store-after-fork", "return-after-fork"],
+)
+def test_forked_paths_keep_their_own_state(src, expected):
+    traces = enumerate_traces(parse_ok(src), 32)
+    assert [project_trace(t) for t in traces] == expected
+    assert traces_diff(traces, expected) is None and traces_diff(expected, traces) is None
 
 
 def test_trace_cap():
@@ -267,6 +326,34 @@ def test_traces_diff_matches_reference(pair):
 )
 def test_traces_diff_directed(a, b, expected):
     assert traces_diff(a, b) == expected == reference_traces_diff(a, b)
+
+
+GENERATED = dict(max_blocks=8, max_stmts=3, loop_prob=0.4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seeds=st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
+    depths=st.tuples(st.integers(2, 32), st.integers(2, 32)),
+)
+def test_traces_results_on_generated_programs(seeds, depths):
+    """A run's projected trie compares like its traces as plain tuples and
+    like the reference: against the program's ssa+gvn version, the program
+    cut at another depth, and another program (these two mostly not
+    equivalent). A run's counts are those of its traces."""
+    program, other = (generate(GeneratorConfig(seed=s, **GENERATED)) for s in seeds)
+    depth, depth2 = depths
+    a = enumerate_traces(program, depth)
+    for b in (
+        enumerate_traces(do_gvn(to_ssa(lift_loops(program))), depth),
+        enumerate_traces(program, depth2),
+        enumerate_traces(other, depth),
+    ):
+        for x, y in ((a, b), (b, a)):
+            assert traces_diff(x, y) == traces_diff(tuple(x), tuple(y)) == reference_traces_diff(x, y)
+        for t in (a, b):
+            assert t.truncated == sum(map(is_truncated, t))
+            assert len(t) == len(set(t))
 
 
 # -- soundness oracle --------------------------------------------------------------

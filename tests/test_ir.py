@@ -1,5 +1,11 @@
 from hypothesis import given, settings, strategies as st
 
+from nullgvn.interp import (
+    check_solution_soundness,
+    enumerate_traces,
+    is_truncated,
+    traces_diff,
+)
 from nullgvn.ir import (
     Alloc,
     Assign,
@@ -19,6 +25,8 @@ from nullgvn.ir import (
     validate,
 )
 from nullgvn.normalize import CycleError, topo_sort
+from nullgvn.pipeline import transform_program
+from nullgvn.solver import generate_constraints, solve_worklist
 
 from conftest import parse_ok
 
@@ -205,3 +213,18 @@ def test_postorder_long_chain_needs_no_recursion():
     n = 20_000
     succ = {i: [i + 1] for i in range(n)} | {n: []}
     assert postorder(succ, [0]) == list(range(n, -1, -1))
+
+
+def test_deep_loop_oracle_needs_no_recursion():
+    """10,000 steps of an allocation loop that forks on every iteration: the
+    segment chains, projected tries, trie walks and observer replays are all
+    iterative."""
+    program = parse_ok("procedure main() { var x; L0: x := new(1); assume *; goto L0; }")
+    transformed, _ = transform_program(program, "ssa+gvn")
+    depth = 10_000
+    a, b = enumerate_traces(program, depth), enumerate_traces(transformed, depth)
+    assert traces_diff(a, b) is None and traces_diff(b, a) is None
+    deepest = a[0]  # the first path to finish is the one that never stops
+    assert is_truncated(deepest) and len(deepest) > depth // 4
+    broken = solve_worklist(generate_constraints(program, disable_rule="alloc"))
+    assert check_solution_soundness(program, broken, depth)

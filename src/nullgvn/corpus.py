@@ -195,9 +195,9 @@ class _Gen:
         for v in init_targets:
             choice = rng.random()
             if choice < 0.55 or not known:
-                prologue.append(self._alloc(v))
+                prologue.append(Alloc(v, self.new_site()))
             elif choice < 0.75:
-                prologue.append(self._null(v))
+                prologue.append(AssignNull(v))
             else:
                 prologue.append(Assign(v, Path(rng.choice(known))))
             known.append(v)
@@ -231,18 +231,13 @@ class _Gen:
             kept = tuple(t for t in block.transfer.targets if t != h)
             block.transfer = Goto(kept) if kept else Return()
 
-    def _alloc(self, v: str):
-        return Alloc(v, self.new_site())
-
-    def _null(self, v: str):
-        return AssignNull(v)
-
-    def _cond(self, path: Path, want_neq: bool = True):
-        rng, cfg = self.rng, self.cfg
-        if rng.random() < cfg.null_check_density:
-            return NullCheck(path, want_neq)
-        if rng.random() < 0.3:
-            return NullCheck(path, not want_neq)
+    def _cond(self, path: Path, real: bool):
+        """A real `!= Null` check when the density draw `real` says so, else
+        mostly an opaque condition."""
+        if real:
+            return NullCheck(path, True)
+        if self.rng.random() < 0.3:
+            return NullCheck(path, False)
         return Opaque()
 
     def _statement(self, scope: list[str], callees: list[str], names: list[str], globals_: list[str]) -> list:
@@ -256,21 +251,13 @@ class _Gen:
             # density draw covers the pair, a real check guards a real assert.
             src, dst, cpy = pick(), pick(), pick()
             real = rng.random() < cfg.null_check_density
-
-            def cond(p: Path):
-                if real:
-                    return NullCheck(p, True)
-                if rng.random() < 0.3:
-                    return NullCheck(p, False)
-                return Opaque()
-
             out = [Assign(dst, Path(src, (fieldname(),)))]
-            out.append(Assume(cond(Path(dst))))
+            out.append(Assume(self._cond(Path(dst), real)))
             subject = dst
             if rng.random() < 0.5 and cpy != dst:
                 out.append(Assign(cpy, Path(dst)))
                 subject = cpy
-            out.append(Assert(cond(Path(subject))))
+            out.append(Assert(self._cond(Path(subject), real)))
             return out
         if kind == "copy":
             a, b = pick(), pick()
@@ -282,13 +269,13 @@ class _Gen:
         if kind == "store":
             return [Store(pick(), fieldname(), pick())]
         if kind == "alloc":
-            return [self._alloc(pick())]
+            return [Alloc(pick(), self.new_site())]
         if kind == "null":
-            return [self._null(pick())]
+            return [AssignNull(pick())]
         if kind == "assume":
-            return [Assume(self._cond(Path(pick())))]
+            return [Assume(self._cond(Path(pick()), rng.random() < cfg.null_check_density))]
         if kind == "assert":
-            return [Assert(self._cond(Path(pick())))]
+            return [Assert(self._cond(Path(pick()), rng.random() < cfg.null_check_density))]
         if kind == "call" and callees:
             callee_name = rng.choice(callees)
             params, returns = self.signatures[callee_name]
@@ -309,7 +296,8 @@ class _Gen:
         scope = main.scope_vars()
         block = main.blocks[-1]
         if scope:
-            block.stmts.append(Assert(self._cond(Path(scope[0]))))
+            real = self.rng.random() < self.cfg.null_check_density
+            block.stmts.append(Assert(self._cond(Path(scope[0]), real)))
         else:
             block.stmts.append(Assert(Opaque()))
 

@@ -22,11 +22,13 @@ transformed versions. Parameter, output and return binding is silent: only
 statements produce events, and binding an undefined source leaves the
 destination untouched.
 
-Each frame keeps the value each source variable last held, so that an
-assignment can be told apart from a reassignment. A callee's frame starts
-from its caller's values: loop lifting turns a loop into a callee that
-continues its caller's frame, and a program and its lifted version must
-record the same assignments.
+Hiding no-op assignments has one rule, kept per frame: each frame keeps
+the value each source variable last held, and an assignment that leaves it
+unchanged is a `reassign`, which the projection drops. A callee's frame
+starts from its caller's values: loop lifting turns a loop into a callee
+that continues its caller's frame, and a program and its lifted version
+must record the same assignments. Whether the projection keeps an event is
+a property of the event alone.
 
 Forked paths share what they have in common, so a run costs in proportion
 to the events the engine emits, not to traces times their length:
@@ -39,11 +41,11 @@ to the events the engine emits, not to traces times their length:
 - Forked siblings share their caller frames and heap objects: a return
   copies the caller's frame before writing it, and a store replaces the
   object it writes.
-- Each event is projected (see `project_trace`) as it is emitted, into one
-  trie of projected traces per run. A trie node maps each projected event to
-  its child and carries `_END` where a complete trace ends and
-  `_TRUNCATED_END` where the body of a truncated trace (the trace without
-  its truncation marker) ends.
+- Each event is projected (see `project_trace`) as it is emitted, by one
+  lookup in the run's memo, into one trie of projected traces per run. A
+  trie node maps each projected event to its child and carries `_END` where
+  a complete trace ends and `_TRUNCATED_END` where the body of a truncated
+  trace (the trace without its truncation marker) ends.
 - Each state keeps a rolling hash of its raw trace. A finished trace whose
   hash was seen before is compared with the earlier traces with that hash,
   event by event, so duplicates are removed exactly.
@@ -139,18 +141,19 @@ class _Segments:
 
 def _copy_frame(frame: list) -> list:
     """A copy of a frame that shares none of the dicts a step writes."""
-    p, l, i, v, a, s = frame
-    return [p, l, i, dict(v), a, dict(s)]
+    p, l, i, v, t, s = frame
+    return [p, l, i, dict(v), dict(t), dict(s)]
 
 
 class _State:
     __slots__ = (
-        "frames", "shared", "heap", "globals", "steps", "next_uid", "next_activation",
-        "segments", "events", "base", "digest", "values", "node", "user", "halted",
+        "frames", "shared", "heap", "globals", "steps", "next_uid",
+        "segments", "events", "base", "digest", "node", "halted",
     )
 
     def __init__(self):
-        # frame: [proc name, block label, stmt index, vars dict, activation id,
+        # frame: [proc name, block label, stmt index, vars dict,
+        #         term -> value (the term check's scratch for this activation),
         #         source variable -> value]
         self.frames = []
         # Only the top frame is ever written. The frames below it are shared
@@ -163,16 +166,13 @@ class _State:
         self.globals = {}
         self.steps = 0
         self.next_uid = 1
-        self.next_activation = 1
         # The trace: segment `base` of the run's `segments` with its
         # ancestors (none when -1), then `events`, those since the last fork.
         self.segments = _Segments()
         self.events = []
         self.base = -1
         self.digest = 0    # rolling hash of the whole raw trace
-        self.values = {}   # projected name -> the value its projection last saw
         self.node = None   # where the projected trace stands in the run's trie
-        self.user = {}     # observer scratch space, cloned on branch
         self.halted = False
 
     def clone(self) -> "_State":
@@ -186,14 +186,11 @@ class _State:
         st.globals = dict(self.globals)
         st.steps = self.steps
         st.next_uid = self.next_uid
-        st.next_activation = self.next_activation
         st.segments = self.segments
         st.events = []
         st.base = self.base
         st.digest = self.digest
-        st.values = dict(self.values)
         st.node = self.node
-        st.user = dict(self.user)
         st.halted = False
         return st
 
@@ -309,10 +306,6 @@ class _Engine:
         st.digest = _mix(st.digest, ev)
         if p is None or p is TRUNCATED:
             return
-        if p[0] == "assign":
-            if st.values.get(p[1], _MISSING) == p[2]:
-                return
-            st.values[p[1]] = p[2]
         child = st.node.get(p)
         if child is None:
             child = st.node[p] = {}
@@ -323,7 +316,7 @@ class _Engine:
     def run(self) -> Traces:
         entry = self.procs[self.program.entry]
         start = _State()
-        start.frames = [[entry.name, entry.entry_block, 0, {}, 0, {}]]
+        start.frames = [[entry.name, entry.entry_block, 0, {}, {}, {}]]
         start.node = self.trie
         stack = [start]
         segments = start.segments
@@ -516,10 +509,7 @@ class _Engine:
                     new_vars[formal] = v
             sources = dict(frame[5])
             sources.update((self.source[f], v) for f, v in new_vars.items())
-            st.frames.append(
-                [callee.name, callee.entry_block, 0, new_vars, st.next_activation, sources]
-            )
-            st.next_activation += 1
+            st.frames.append([callee.name, callee.entry_block, 0, new_vars, {}, sources])
             if self.observer is not None:
                 for formal, v in new_vars.items():
                     self.observer.on_bind(callee.name, formal, v, st)
@@ -563,36 +553,17 @@ def _project_event(ev: tuple):
     return ev  # return, truncated
 
 
-def _project(trace: tuple, memo: dict) -> tuple:
-    """project_trace with each raw event's projection looked up in `memo`,
-    so that each distinct event of a set of traces is projected once."""
-    values: dict[str, object] = {}
-    out = []
-    for ev in trace:
-        p = memo.get(ev, _MISSING)
-        if p is _MISSING:
-            p = memo[ev] = _project_event(ev)
-        if p is None:
-            continue
-        if p[0] == "assign":
-            if values.get(p[1], _MISSING) == p[2]:
-                continue
-            values[p[1]] = p[2]
-        out.append(p)
-    return tuple(out)
-
-
 def project_trace(trace: tuple) -> tuple:
-    """Canonicalize a trace for cross-version comparison.
+    """Canonicalize a trace for cross-version comparison, event by event.
 
     Tagged variables disappear, SSA versions collapse to their source
-    names, locations are stripped, and re-assignments that do not change a
-    variable's (projected) value are dropped; merge copies introduced by
-    SSA are exactly such no-ops. The interpreter marks them `reassign`, as
-    only it sees each frame's values; an `assign` that repeats the last
-    value the projection saw for its name is dropped as well.
+    names, locations are stripped, and `reassign` events are dropped: the
+    interpreter marks an assignment `reassign` when it leaves the value its
+    source variable held in the frame, as SSA merge copies do. An `assign`
+    is kept even when it repeats a value, since an earlier event of the same
+    name may come from another frame.
     """
-    return _project(trace, {})
+    return tuple(p for p in map(_project_event, trace) if p is not None)
 
 
 def _trie(traces) -> dict:
@@ -600,10 +571,9 @@ def _trie(traces) -> dict:
     into the same shape a run builds."""
     if isinstance(traces, Traces):
         return traces.trie
-    memo: dict = {}
     root: dict = {}
     for t in traces:
-        p = _project(t, memo)
+        p = project_trace(t)
         truncated = is_truncated(p)
         node = root
         for ev in p[:-1] if truncated else p:
@@ -768,16 +738,17 @@ class _TermObserver:
             return
         # Terms live per procedure activation: a recursive activation (as
         # lifted loops produce) re-evaluates the same locations with new
-        # values, and the equal-terms claim is within one activation.
-        activation = st.frames[-1][4]
+        # values, and the equal-terms claim is within one activation. The
+        # top frame is never shared with another state, so it is written
+        # in place.
+        seen = st.frames[-1][4]
         for path, term in recs:
             status, value = self.engine.eval_path(st, path)
             if status != "ok":
                 continue
-            key = (activation, term)
-            prev = st.user.get(key, _MISSING)
+            prev = seen.get(term, _MISSING)
             if prev is _MISSING:
-                st.user[key] = value
+                seen[term] = value
             elif prev != value and len(self.violations) < self.cap:
                 self.violations.append((term, loc, str(path), prev, value, st.full_trace()))
 

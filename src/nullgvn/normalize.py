@@ -301,35 +301,25 @@ def to_ssa(program: Program) -> Program:
     return prog
 
 
-def _live_at_entry(proc: Procedure) -> dict[str, set[str]]:
+def _live_at_entry(proc: Procedure, order: list[str]) -> dict[str, set[str]]:
     """Backward liveness over original names; the returns list counts as a
-    read at every return block."""
+    read at every return block. `order` is a topological order of the
+    (acyclic) CFG, so one pass against it visits every block after all of
+    its successors."""
     succ = successors(proc)
-    gen: dict[str, set[str]] = {}
-    kill: dict[str, set[str]] = {}
-    for b in proc.blocks:
-        g: set[str] = set()
-        k: set[str] = set()
-        for stmt in b.stmts:
-            for v in stmt_reads(stmt):
-                if v not in k:
-                    g.add(v)
-            k.update(stmt_writes(stmt))
-        if isinstance(b.transfer, Return):
-            g.update(r for r in proc.returns if r not in k)
-        gen[b.label], kill[b.label] = g, k
-    live_in = {b.label: set() for b in proc.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for b in reversed(proc.blocks):
-            out: set[str] = set()
-            for s in succ[b.label]:
-                out |= live_in[s]
-            new = gen[b.label] | (out - kill[b.label])
-            if new != live_in[b.label]:
-                live_in[b.label] = new
-                changed = True
+    block_map = proc.block_map()
+    live_in: dict[str, set[str]] = {}
+    for label in reversed(order):
+        block = block_map[label]
+        live: set[str] = set()
+        for s in succ[label]:
+            live |= live_in[s]
+        if isinstance(block.transfer, Return):
+            live.update(proc.returns)
+        for stmt in reversed(block.stmts):
+            live.difference_update(stmt_writes(stmt))
+            live.update(stmt_reads(stmt))
+        live_in[label] = live
     return live_in
 
 
@@ -339,7 +329,7 @@ def _ssa_proc(proc: Procedure, globals_: set[str]) -> None:
     preds = predecessors(proc)
     block_map = proc.block_map()
     scope = proc.scope_vars()
-    live_in = _live_at_entry(proc)
+    live_in = _live_at_entry(proc, order)
     counts: dict[str, int] = {}
     new_names: list[str] = []
 

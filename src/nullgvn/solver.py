@@ -236,24 +236,20 @@ class PointsToSolution:
         return f"PointsToSolution(var_pt={self.var_pt!r}, field_pt={self.field_pt!r})"
 
 
-def solve_naive(constraints: Constraints, schedule: str = "per_statement") -> PointsToSolution:
+def solve_naive(constraints: Constraints) -> PointsToSolution:
     """Fixpoint by repeated full passes over the constraints, on plain sets:
     the reference the worklist solver is checked against.
 
-    schedule="per_statement" strips the Null site from tagged variables as
-    soon as it lands (the filter nested in the statement loop);
-    "per_iteration" filters once per pass, which lets Null transit a tagged
-    variable within a single pass and can reach a strictly larger fixpoint.
+    The Null site is stripped from a tagged variable as soon as it lands:
+    filtering once per pass instead would let Null pass through a tagged
+    variable within the pass.
     """
-    if schedule not in ("per_statement", "per_iteration"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     var_pt: dict[str, set[int]] = {}
     field_pt: dict[tuple[int, str], set[int]] = {}
-    per_stmt = schedule == "per_statement"
     tagged = constraints.tagged
 
     def add_var(key: str, sites: set[int]) -> None:
-        if per_stmt and key in tagged:
+        if key in tagged:
             sites = sites - {NULL_SITE}
         var_pt.setdefault(key, set()).update(sites)
 
@@ -263,9 +259,6 @@ def solve_naive(constraints: Constraints, schedule: str = "per_statement") -> Po
             {k: frozenset(v) for k, v in field_pt.items() if v},
         )
 
-    # Old-state/new-state comparison rather than an additions flag: with the
-    # per-iteration schedule the filter keeps removing what the pass keeps
-    # re-adding, and only the post-filter state reaches a fixpoint.
     old = snapshot()
     while True:
         for key, site in constraints.base:
@@ -283,10 +276,6 @@ def solve_naive(constraints: Constraints, schedule: str = "per_statement") -> Po
                 continue
             for site in sorted(var_pt.get(base, ())):
                 field_pt.setdefault((site, fname), set()).update(var_pt[src])
-        if not per_stmt:
-            for key in var_pt:
-                if key in tagged:
-                    var_pt[key].discard(NULL_SITE)
         new = snapshot()
         if new == old:
             return PointsToSolution.from_sets(var_pt, field_pt)

@@ -120,7 +120,7 @@ RETURN = ("return", ())
         (
             "procedure f() { var a; L0: a := Null; return; }"
             "procedure main() { var a; L0: a := new(1); call f(); a := Null; return; }",
-            [(A_LOC, ("assign", "a", "null"), RETURN)],
+            [(A_LOC, ("assign", "a", "null"), ("assign", "a", "null"), RETURN)],
         ),
         (
             "procedure main() { var a; var b; var c; L0: a := new(1); b := new(2); goto L1, L2;"
@@ -136,8 +136,8 @@ RETURN = ("return", ())
              (A_LOC, ("assign", "r", "null"), ("assign", "a", "null"), RETURN)],
         ),
     ],
-    # main's `a := Null` repeats the value f's `a` left, so the projection
-    # drops it; a store on one arm stays out of the other arm's heap; each
+    # main's `a := Null` repeats the value f's own `a` took, and both are
+    # kept; a store on one arm stays out of the other arm's heap; each
     # return from f writes its own copy of main's frame.
     ids=["repeated-value", "store-after-fork", "return-after-fork"],
 )
@@ -174,15 +174,33 @@ def test_projection_drops_tagged_and_versions():
 
 
 def test_projection_drops_value_preserving_reassignment():
+    """Only the interpreter's `reassign` is dropped: an `assign` that repeats
+    a value is kept, as the projection sees no frames."""
     trace = (
         ("assign", "x", ("loc", 1, 1)),
+        ("reassign", "x__2", ("loc", 1, 1)),
         ("assign", "x", ("loc", 1, 1)),
         ("assign", "x", "null"),
     )
     assert project_trace(trace) == (
         ("assign", "x", ("loc", 1, 1)),
+        ("assign", "x", ("loc", 1, 1)),
         ("assign", "x", "null"),
     )
+
+
+def test_reassignment_after_callee_sets_same_name_is_kept():
+    """main's `a := Null` changes main's `a`, though f's own `a` took Null
+    just before: deleting it is a difference."""
+    f = "procedure f() { var a; L0: a := Null; return; }"
+    main = "procedure main() {{ var a; L0: a := new(1); call f(); {} return; }}"
+    reset = enumerate_traces(parse_ok(f + main.format("a := Null;")), 32)
+    kept = enumerate_traces(parse_ok(f + main.format("")), 32)
+    witness = "trace only on the left side:\n  " + repr(
+        (A_LOC, ("assign", "a", "null"), ("assign", "a", "null"), RETURN)
+    )
+    assert traces_diff(reset, kept) == witness
+    assert traces_diff(tuple(reset), tuple(kept)) == witness
 
 
 # Both procedures reassign `a` on one arm only, so SSA puts the merge copy
@@ -449,3 +467,21 @@ def test_term_check_catches_planted_lie(bundled):
     }
     violations = check_term_consistency(out, fake, 32)
     assert violations
+
+
+def test_term_check_is_per_activation(bundled):
+    """Each activation of a lifted loop evaluates its head afresh: a term
+    recorded once at the head may hold another value in each recursive
+    activation, but two of its occurrences within one activation must
+    agree. A caller's activation outlives the calls it makes."""
+    lifted = to_ssa(lift_loops(bundled["loop_self"]))
+    head = ("loop_L1", "L1", 0)  # x on entry: a, then b, then a, ...
+    assert check_term_consistency(lifted, {head: [(Path("x"), 1)]}, 32) == []
+    within = {head: [(Path("x"), 1)], ("loop_L1", "exit", 0): [(Path("x"), 1)]}
+    assert {v[:3] for v in check_term_consistency(lifted, within, 32)} == {
+        (1, ("loop_L1", "exit", 0), "x")
+    }
+    across_call = {("main", "L0", 4): [(Path("a"), 2)], ("main", "L2", 0): [(Path("b"), 2)]}
+    assert {v[:3] for v in check_term_consistency(lifted, across_call, 32)} == {
+        (2, ("main", "L2", 0), "b")
+    }

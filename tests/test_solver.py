@@ -127,11 +127,7 @@ def test_tagged_filter_strips_null(bundled):
         assert NULL_SITE not in sol.pt(key)
     for name, program in bundled.items():
         cons = generate_constraints(full(program))
-        for sol in (
-            solve_worklist(cons),
-            solve_naive(cons, schedule="per_statement"),
-            solve_naive(cons, schedule="per_iteration"),
-        ):
+        for sol in (solve_worklist(cons), solve_naive(cons)):
             for key, sites in sol.var_pt.items():
                 if is_tagged(key.rsplit("::", 1)[-1]):
                     assert NULL_SITE not in sites, (name, key)
@@ -239,23 +235,6 @@ def test_worklist_pops_each_fan_in_node_once():
     assert sol.pt("c50") == set(range(1, 21))
     assert len(sol.ids) == 72
     assert sol.pops == 72
-
-
-def test_filter_schedules_can_differ(bundled):
-    """The in-loop filter is strictly stronger: filtering once per pass lets
-    Null transit a tagged variable inside a single pass."""
-    out = full(bundled["guarded_copy"])
-    cons = generate_constraints(out)
-    per_stmt = solve_naive(cons, schedule="per_statement")
-    per_iter = solve_naive(cons, schedule="per_iteration")
-    for key in per_stmt.var_pt:
-        assert per_stmt.pt(key) <= per_iter.pt(key)
-    leaked = [
-        k
-        for k in per_iter.var_pt
-        if NULL_SITE in per_iter.pt(k) and NULL_SITE not in per_stmt.pt(k)
-    ]
-    assert leaked, "expected the per-iteration schedule to lose precision here"
 
 
 # -- classification ---------------------------------------------------------------

@@ -694,7 +694,7 @@ class _SoundnessObserver:
                 self._report(("var", key, site), ("missing_site", key, site), st)
 
     def on_store(self, base_site, fname, value, st):
-        cell = self.sol.bits((base_site, fname))
+        cell = self.sol.cell_bits(base_site, fname)
         if value is None:
             if not cell & NULL_BIT:
                 self._report(

@@ -21,7 +21,7 @@ Type annotations are accepted and discarded (values are untyped pointers).
 Source text may use `__` in a name only in the two generated shapes, SSA
 versions like `x__2` and tagged temporaries like `gvnTmp__gvn1`, so that
 transformed listings re-parse (`ir.is_reserved_name`). A tagged name in
-source is trusted as non-null: ROADMAP item 7, the strict xfail
+source is trusted as non-null: an open ROADMAP item, the strict xfail
 `test_source_tagged_name_not_proved`.
 """
 

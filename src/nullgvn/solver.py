@@ -15,15 +15,16 @@ A field read can also observe a field that was never written, which
 evaluates to Null at runtime, so every read contributes the Null site to
 its target in addition to the conditional rule.
 
-`solve_worklist` numbers var keys in reverse post-order of the copy graph
-(`_copy_order`, the shared depth-first walk `ir.postorder` over the copy
-edges) and pops its worklist smallest id first, so a key is visited after
-the keys that copy into it (topological propagation, as in Pereira &
-Berlin's wave propagation, CGO'09). Its `PointsToSolution` is a view over
-the solver's int bitsets, Null as bit 0: verdicts and the soundness replay
-test bits, and sets are built only when a caller asks for them.
-`solve_naive` is the set-based reference and packs its result into the
-same view.
+`generate_constraints` returns the constraint graph, which owns the var
+node ids and the site numbering (Null as bit 0). Var keys are numbered in
+reverse post-order of the copy graph (`_copy_order`, the shared depth-first
+walk `ir.postorder`), and `solve_worklist` pops smallest id first, so a key
+is visited after the keys that copy into it (topological propagation, as in
+Pereira & Berlin's wave propagation, CGO'09). Both solvers read the graph
+and return a `PointsToSolution`, a view over int bitsets in its numbering:
+verdicts and the soundness replay test bits, and sets are built only when a
+caller asks for them. `solve_naive` is the set-based reference; it packs its
+sets with the graph's `site_bit`, so there is no second numbering.
 """
 
 from __future__ import annotations
@@ -60,11 +61,39 @@ def var_key(proc_name: str | None, name: str, globals_: set[str]) -> str:
 
 @dataclass
 class Constraints:
-    base: list[tuple[str, int]] = field(default_factory=list)          # site in pt(x)
-    copies: list[tuple[str, str]] = field(default_factory=list)        # pt(src) <= pt(dst)
-    loads: list[tuple[str, str, str]] = field(default_factory=list)    # x := base.f
-    stores: list[tuple[str, str, str]] = field(default_factory=list)   # base.f := src
-    tagged: set[str] = field(default_factory=set)                      # never admit Null
+    """The constraint graph over dense var node ids (`ids`, numbered by
+    `build`) and the one site numbering: `sites[i]` is bit i of every
+    points-to bitset, Null at bit 0 and the other sites ascending."""
+
+    base: list[tuple[int, int]]          # site in pt(x)
+    copies: list[tuple[int, int]]        # pt(src) <= pt(dst)
+    loads: list[tuple[int, str, int]]    # x := base.f
+    stores: list[tuple[int, str, int]]   # base.f := src
+    tagged: set[int]                     # never admit Null
+    ids: dict[str, int]
+    sites: list[int]
+    site_bit: dict[int, int]
+
+    @classmethod
+    def build(cls, base=(), copies=(), loads=(), stores=(), tagged=()) -> Constraints:
+        """Intern string-keyed constraints: copy-graph keys in reverse
+        post-order (`_copy_order`), then the other keys in the order loads,
+        stores, base and `tagged` first mention them."""
+        ids = {key: n for n, key in enumerate(_copy_order(copies))}
+        mentioned = [k for b, _, x in (*loads, *stores) for k in (b, x)]
+        for key in (*mentioned, *(k for k, _ in base), *tagged):
+            ids.setdefault(key, len(ids))
+        sites = [NULL_SITE, *sorted({site for _, site in base} - {NULL_SITE})]
+        return cls(
+            base=[(ids[k], site) for k, site in base],
+            copies=[(ids[s], ids[d]) for s, d in copies],
+            loads=[(ids[b], f, ids[x]) for b, f, x in loads],
+            stores=[(ids[b], f, ids[x]) for b, f, x in stores],
+            tagged={ids[k] for k in tagged},
+            ids=ids,
+            sites=sites,
+            site_bit={site: i for i, site in enumerate(sites)},
+        )
 
 
 def generate_constraints(program: Program, disable_rule: str | None = None) -> Constraints:
@@ -73,13 +102,13 @@ def generate_constraints(program: Program, disable_rule: str | None = None) -> C
     if disable_rule is not None and disable_rule not in RULES:
         raise ValueError(f"unknown rule {disable_rule!r}")
     globals_ = set(program.globals)
-    cons = Constraints()
-    cons.tagged = {g for g in program.globals if is_tagged(g)} | {
+    base, copies, loads, stores = [], [], [], []  # string-keyed, for Constraints.build
+    tagged = [g for g in program.globals if is_tagged(g)] + [
         var_key(proc.name, v, globals_)
         for proc in program.procedures
         for v in proc.scope_vars()
         if is_tagged(v)
-    }
+    ]
     temp_count = 0
 
     def on(rule: str) -> bool:
@@ -94,16 +123,16 @@ def generate_constraints(program: Program, disable_rule: str | None = None) -> C
             temp_count += 1
             tmp = f"${temp_count}"
             if on("load"):
-                cons.loads.append((src, f, tmp))
-            cons.base.append((tmp, NULL_SITE))
+                loads.append((src, f, tmp))
+            base.append((tmp, NULL_SITE))
             src = tmp
         if path.fields:
             if on("load"):
-                cons.loads.append((src, path.fields[-1], lhs_key))
-            cons.base.append((lhs_key, NULL_SITE))
+                loads.append((src, path.fields[-1], lhs_key))
+            base.append((lhs_key, NULL_SITE))
         else:
             if on("copy"):
-                cons.copies.append((src, lhs_key))
+                copies.append((src, lhs_key))
 
     procs = program.proc_map()
     for proc in program.procedures:
@@ -111,15 +140,15 @@ def generate_constraints(program: Program, disable_rule: str | None = None) -> C
             for stmt in block.stmts:
                 if isinstance(stmt, Alloc):
                     if on("alloc"):
-                        cons.base.append((var_key(proc.name, stmt.lhs, globals_), stmt.site))
+                        base.append((var_key(proc.name, stmt.lhs, globals_), stmt.site))
                 elif isinstance(stmt, AssignNull):
                     if on("null"):
-                        cons.base.append((var_key(proc.name, stmt.lhs, globals_), NULL_SITE))
+                        base.append((var_key(proc.name, stmt.lhs, globals_), NULL_SITE))
                 elif isinstance(stmt, Assign):
                     add_path(proc.name, var_key(proc.name, stmt.lhs, globals_), stmt.rhs)
                 elif isinstance(stmt, Store):
                     if on("store"):
-                        cons.stores.append(
+                        stores.append(
                             (
                                 var_key(proc.name, stmt.base, globals_),
                                 stmt.field,
@@ -130,21 +159,21 @@ def generate_constraints(program: Program, disable_rule: str | None = None) -> C
                     callee = procs[stmt.callee]
                     if on("copy"):
                         for actual, formal in zip(stmt.args, callee.params):
-                            cons.copies.append(
+                            copies.append(
                                 (
                                     var_key(proc.name, actual, globals_),
                                     var_key(callee.name, formal, globals_),
                                 )
                             )
                         for ret, out in zip(callee.returns, stmt.outs):
-                            cons.copies.append(
+                            copies.append(
                                 (
                                     var_key(callee.name, ret, globals_),
                                     var_key(proc.name, out, globals_),
                                 )
                             )
                 # assume/assert contribute nothing
-    return cons
+    return Constraints.build(base, copies, loads, stores, tagged)
 
 
 NULL_BIT = 1  # Null is bit 0 of every points-to bitset
@@ -158,66 +187,53 @@ def _sites(bits: int, bit_site: list[int]) -> list[int]:
 
 
 class PointsToSolution:
-    """A points-to solution as a view over the solver's own arrays.
+    """A points-to solution as a view over a solver's int bitsets.
 
-    `ids` maps each solver key to a node: a var key (str) or a (site, field)
-    cell. `pts[n]` is node n's points-to set as an int bitset whose bit i
-    stands for site `bit_site[i]`; bit 0 is always Null. Verdicts and the
-    soundness replay test bits directly. Sets are built only when asked for:
-    `pt`/`pt_field` build one, and `materialized` builds all of them once,
-    for `var_pt`, `field_pt` and `==`. `pops` counts worklist pops (0 for
-    the naive solver).
+    `pts[n]` is node n's points-to set over the graph's site numbering: var
+    nodes are the graph's, and `cells` maps each (site, field) to its node.
+    Verdicts and the soundness replay test bits directly; `materialized`
+    builds every set once, for `var_pt`, `field_pt` and `==`. `pops` counts
+    worklist pops (0 for the naive solver).
     """
 
-    def __init__(self, ids: dict[object, int], pts: list[int], bit_site: list[int], pops: int = 0):
-        self.ids = ids
+    def __init__(self, graph: Constraints, pts: list[int], cells: dict, pops: int = 0):
+        self.graph = graph
         self.pts = pts
-        self.bit_site = bit_site
-        self.site_bit = {site: i for i, site in enumerate(bit_site)}
+        self.cells = cells
         self.pops = pops
 
-    @classmethod
-    def from_sets(
-        cls, var_pt: dict[str, set[int]], field_pt: dict[tuple[int, str], set[int]]
-    ) -> "PointsToSolution":
-        """Pack set-valued points-to maps into bitsets; empty sets are dropped."""
-        items = [(k, v) for k, v in (*var_pt.items(), *field_pt.items()) if v]
-        sites = {site for _, v in items for site in v} - {NULL_SITE}
-        sol = cls({}, [], [NULL_SITE, *sorted(sites)])
-        for key, v in items:
-            sol.ids[key] = len(sol.pts)
-            sol.pts.append(sum(1 << sol.site_bit[site] for site in v))
-        return sol
+    def bits(self, key: str) -> int:
+        """Bitset of a var key; 0 if the key is not a node."""
+        n = self.graph.ids.get(key)
+        return 0 if n is None else self.pts[n]
 
-    def bits(self, key: object) -> int:
-        """Bitset of a var key or a (site, field) cell; 0 if never reached."""
-        n = self.ids.get(key)
+    def cell_bits(self, site: int, fname: str) -> int:
+        """Bitset of a (site, field) cell; 0 if never reached."""
+        n = self.cells.get((site, fname))
         return 0 if n is None else self.pts[n]
 
     def holds(self, bits: int, site: int) -> bool:
         """Whether the bitset `bits` contains `site`."""
-        i = self.site_bit.get(site)
+        i = self.graph.site_bit.get(site)
         return i is not None and bool(bits >> i & 1)
 
     def sites(self, bits: int) -> list[int]:
-        return _sites(bits, self.bit_site)
+        return _sites(bits, self.graph.sites)
 
     def pt(self, key: str) -> set[int]:
         return set(self.sites(self.bits(key)))
 
     def pt_field(self, site: int, fname: str) -> set[int]:
-        return set(self.sites(self.bits((site, fname))))
+        return set(self.sites(self.cell_bits(site, fname)))
 
     @cached_property
     def materialized(self) -> tuple[dict[str, set[int]], dict[tuple[int, str], set[int]]]:
         """(var_pt, field_pt): every non-empty var and cell set as a set."""
-        var_pt: dict[str, set[int]] = {}
-        field_pt: dict[tuple[int, str], set[int]] = {}
-        for key, n in self.ids.items():
-            if self.pts[n]:
-                target = var_pt if isinstance(key, str) else field_pt
-                target[key] = set(self.sites(self.pts[n]))
-        return var_pt, field_pt
+        pts = self.pts
+        return tuple(
+            {key: set(self.sites(pts[n])) for key, n in ids.items() if pts[n]}
+            for ids in (self.graph.ids, self.cells)
+        )
 
     @property
     def var_pt(self) -> dict[str, set[int]]:
@@ -236,50 +252,41 @@ class PointsToSolution:
         return f"PointsToSolution(var_pt={self.var_pt!r}, field_pt={self.field_pt!r})"
 
 
-def solve_naive(constraints: Constraints) -> PointsToSolution:
-    """Fixpoint by repeated full passes over the constraints, on plain sets:
-    the reference the worklist solver is checked against.
+def solve_naive(graph: Constraints) -> PointsToSolution:
+    """Fixpoint by repeated full passes over the constraints, on plain sets
+    of sites per node: the reference the worklist solver is checked against.
 
     The Null site is stripped from a tagged variable as soon as it lands:
     filtering once per pass instead would let Null pass through a tagged
     variable within the pass.
     """
-    var_pt: dict[str, set[int]] = {}
+    var_pt: list[set[int]] = [set() for _ in graph.ids]
     field_pt: dict[tuple[int, str], set[int]] = {}
-    tagged = constraints.tagged
+    tagged = graph.tagged
 
-    def add_var(key: str, sites: set[int]) -> None:
-        if key in tagged:
+    def add_var(n: int, sites: set[int]) -> None:
+        if n in tagged:
             sites = sites - {NULL_SITE}
-        var_pt.setdefault(key, set()).update(sites)
+        var_pt[n].update(sites)
 
     def snapshot():
-        return (
-            {k: frozenset(v) for k, v in var_pt.items() if v},
-            {k: frozenset(v) for k, v in field_pt.items() if v},
-        )
+        return [frozenset(v) for v in var_pt], {k: frozenset(v) for k, v in field_pt.items()}
 
-    old = snapshot()
-    while True:
-        for key, site in constraints.base:
-            add_var(key, {site})
-        for src, dst in constraints.copies:
-            if var_pt.get(src):
-                add_var(dst, var_pt[src])
-        for base, fname, dst in constraints.loads:
-            for site in sorted(var_pt.get(base, ())):
-                cell = field_pt.get((site, fname))
-                if cell:
-                    add_var(dst, cell)
-        for base, fname, src in constraints.stores:
-            if not var_pt.get(src):
-                continue
-            for site in sorted(var_pt.get(base, ())):
-                field_pt.setdefault((site, fname), set()).update(var_pt[src])
-        new = snapshot()
-        if new == old:
-            return PointsToSolution.from_sets(var_pt, field_pt)
+    old = None
+    while (new := snapshot()) != old:
         old = new
+        for n, site in graph.base:
+            add_var(n, {site})
+        for src, dst in graph.copies:
+            add_var(dst, var_pt[src])
+        for base, fname, dst in graph.loads:
+            for site in sorted(var_pt[base]):
+                add_var(dst, field_pt.get((site, fname), set()))
+        for base, fname, src in graph.stores:
+            for site in sorted(var_pt[base]):
+                field_pt.setdefault((site, fname), set()).update(var_pt[src])
+    pack = [sum(1 << graph.site_bit[site] for site in v) for v in (*var_pt, *field_pt.values())]
+    return PointsToSolution(graph, pack, {cell: n for n, cell in enumerate(field_pt, len(var_pt))})
 
 
 def _copy_order(copies: list[tuple[str, str]]) -> list[str]:
@@ -292,44 +299,39 @@ def _copy_order(copies: list[tuple[str, str]]) -> list[str]:
     return postorder(succ, succ)[::-1]
 
 
-def solve_worklist(constraints: Constraints) -> PointsToSolution:
+def solve_worklist(graph: Constraints) -> PointsToSolution:
     """Constraint-graph solver with difference propagation; same least
     fixpoint as solve_naive, much faster on long copy chains.
 
-    Every var key and every (site, field) cell is interned to a dense node
-    id. Var keys are numbered first, in reverse post-order of the copy graph
-    (`_copy_order`); cells get the next free id when a load or store first
-    reaches them. Sites are numbered densely too, Null as bit 0 and the rest
-    in ascending order (site ids need not be small), and a points-to set is
-    an int bitset over those numbers. Each node has an admit mask that
-    clears the Null bit on tagged keys, so the filter runs at every
-    insertion. Each node carries one pending delta and sits on the worklist
-    at most once: it is pushed only when that delta turns non-zero. The
-    worklist is a min-heap over node ids, so a node whose copy sources are
-    also pending is popped after them and passes on their bits in one
-    visit. Copy edges pass the whole delta with one `|`; only load and
-    store bases walk its sites. The solution is a view over the final
-    bitsets; no set is built here.
+    The graph owns var node ids and the site -> bit numbering; the solver
+    only interns (site, field) cells, giving each the next free id when a
+    load or store first reaches it. Each node has an admit mask that clears
+    the Null bit on tagged nodes, so the filter runs at every insertion.
+    Each node carries one pending delta and sits on the worklist at most
+    once: it is pushed only when that delta turns non-zero. The worklist is
+    a min-heap over node ids, and var ids follow the copy graph's reverse
+    post-order, so a node whose copy sources are also pending is popped
+    after them and passes on their bits in one visit. Copy edges pass the
+    whole delta with one `|`; only load and store bases walk its sites.
     """
-    ids: dict[object, int] = {}
-    pts: list[int] = []
-    pending: list[int] = []
-    mask: list[int] = []
-    succ: list[set[int]] = []
+    n_vars = len(graph.ids)
+    pts = [0] * n_vars
+    pending = [0] * n_vars
+    mask = [~NULL_BIT if n in graph.tagged else -1 for n in range(n_vars)]
+    succ: list[set[int]] = [set() for _ in range(n_vars)]
+    cells: dict[tuple[int, str], int] = {}
     loads: dict[int, list[tuple[str, int]]] = {}
     stores: dict[int, list[tuple[str, int]]] = {}
     work: list[int] = []
-    tagged = constraints.tagged
-    bit_site = [NULL_SITE, *sorted({site for _, site in constraints.base} - {NULL_SITE})]
-    site_bit = {site: i for i, site in enumerate(bit_site)}
+    bit_site = graph.sites
 
-    def node(key: object) -> int:
-        n = ids.get(key)
+    def cell(site: int, fname: str) -> int:
+        n = cells.get((site, fname))
         if n is None:
-            n = ids[key] = len(pts)
+            n = cells[site, fname] = len(pts)
             pts.append(0)
             pending.append(0)
-            mask.append(~NULL_BIT if key in tagged else -1)
+            mask.append(-1)
             succ.append(set())
         return n
 
@@ -348,16 +350,14 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
             if pts[src]:
                 add(dst, pts[src])
 
-    for key in _copy_order(constraints.copies):
-        node(key)
-    for base, fname, dst in constraints.loads:
-        loads.setdefault(node(base), []).append((fname, node(dst)))
-    for base, fname, src in constraints.stores:
-        stores.setdefault(node(base), []).append((fname, node(src)))
-    for src, dst in constraints.copies:
-        add_edge(node(src), node(dst))
-    for key, site in constraints.base:
-        add(node(key), 1 << site_bit[site])
+    for base, fname, dst in graph.loads:
+        loads.setdefault(base, []).append((fname, dst))
+    for base, fname, src in graph.stores:
+        stores.setdefault(base, []).append((fname, src))
+    for src, dst in graph.copies:
+        add_edge(src, dst)
+    for n, site in graph.base:
+        add(n, 1 << graph.site_bit[site])
 
     pops = 0
     while work:
@@ -369,13 +369,13 @@ def solve_worklist(constraints: Constraints) -> PointsToSolution:
             sites = _sites(delta, bit_site)
             for fname, dst in loads.get(n, ()):
                 for site in sites:
-                    add_edge(node((site, fname)), dst)
+                    add_edge(cell(site, fname), dst)
             for fname, src in stores.get(n, ()):
                 for site in sites:
-                    add_edge(src, node((site, fname)))
+                    add_edge(src, cell(site, fname))
         for dst in succ[n]:
             add(dst, delta)
-    return PointsToSolution(ids, pts, bit_site, pops)
+    return PointsToSolution(graph, pts, cells, pops)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +432,7 @@ def eval_abstract(sol: PointsToSolution, proc_name: str, path: Path, globals_: s
     for f in path.fields:
         nxt = NULL_BIT  # an unwritten field reads as Null
         for site in sol.sites(bits):
-            nxt |= sol.bits((site, f))
+            nxt |= sol.cell_bits(site, f)
         bits = nxt
     return bits
 

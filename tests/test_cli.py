@@ -72,7 +72,7 @@ def test_source_tagged_name_assert_fails_at_runtime():
 @pytest.mark.xfail(
     strict=True,
     reason="the solver strips Null from every tagged-looking name, also one the "
-    "source declares (ROADMAP open item 7)",
+    "source declares (ROADMAP open item on tagged source names)",
 )
 def test_source_tagged_name_not_proved(capsys, tmp_path):
     """Transformed listings re-parse, so source text may name a variable like

@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +18,10 @@ from nullgvn.ir import (
     Store,
     NULL_SITE,
     is_tagged,
+    postorder,
 )
 from nullgvn.normalize import lift_loops, to_ssa
+from nullgvn.pipeline import transform_program
 from nullgvn.solver import (
     NULL_BIT,
     SAFE,
@@ -39,18 +42,31 @@ def full(program):
     return do_gvn(to_ssa(lift_loops(program)))
 
 
+def keyed(cons):
+    """The graph's constraints with every node id mapped back to its key;
+    tagged keys in id order."""
+    key = {n: k for k, n in cons.ids.items()}
+    return SimpleNamespace(
+        base=[(key[n], site) for n, site in cons.base],
+        copies=[(key[s], key[d]) for s, d in cons.copies],
+        loads=[(key[b], f, key[x]) for b, f, x in cons.loads],
+        stores=[(key[b], f, key[x]) for b, f, x in cons.stores],
+        tagged=[key[n] for n in sorted(cons.tagged)],
+    )
+
+
 # -- constraint generation -------------------------------------------------------
 
 
 def test_alloc_constraint():
     program = parse_ok("procedure main() { var x; L1: x := new(1); return; }")
-    cons = generate_constraints(program)
+    cons = keyed(generate_constraints(program))
     assert ("main::x", 1) in cons.base
 
 
 def test_null_constraint():
     program = parse_ok("procedure main() { var x; L1: x := Null; return; }")
-    cons = generate_constraints(program)
+    cons = keyed(generate_constraints(program))
     assert ("main::x", NULL_SITE) in cons.base
 
 
@@ -61,7 +77,7 @@ def test_call_copies_params_and_returns():
         procedure main() { var a; var b; L1: a := new(1); b := call f(a); return; }
         """
     )
-    cons = generate_constraints(program)
+    cons = keyed(generate_constraints(program))
     assert ("main::a", "f::y") in cons.copies
     assert ("f::u", "main::b") in cons.copies
 
@@ -70,7 +86,7 @@ def test_access_path_decomposition():
     program = parse_ok(
         "procedure main() { var x; var y; L1: y := new(1); x := y.f.g; return; }"
     )
-    cons = generate_constraints(program)
+    cons = keyed(generate_constraints(program))
     assert ("main::y", "f", "$1") in cons.loads
     assert ("$1", "g", "main::x") in cons.loads
     # every load target may observe an unwritten field, hence Null
@@ -86,7 +102,7 @@ def test_globals_share_one_node():
         procedure main() { var x; L1: call f(); x := g; return; }
         """
     )
-    cons = generate_constraints(program)
+    cons = keyed(generate_constraints(program))
     assert ("g", 1) in cons.base
     assert ("g", "main::x") in cons.copies
 
@@ -111,11 +127,11 @@ def test_constraints_record_tagged_keys(bundled):
             for v in proc.scope_vars()
             if is_tagged(v)
         }
-        assert generate_constraints(out).tagged == expected, name
+        assert set(keyed(generate_constraints(out)).tagged) == expected, name
         recorded += len(expected)
     assert recorded
     program = parse_ok("var g__gvn1; procedure main() { L1: g__gvn1 := Null; return; }")
-    assert generate_constraints(program).tagged == {"g__gvn1"}
+    assert keyed(generate_constraints(program)).tagged == ["g__gvn1"]
 
 
 def test_tagged_filter_strips_null(bundled):
@@ -156,8 +172,9 @@ def test_worklist_matches_naive_generated(seed):
 
 
 @st.composite
-def hand_built_constraints(draw):
-    """Small constraint sets the generator would not write: 2-6 var keys
+def hand_built_keys(draw):
+    """Small string-keyed constraint sets, as keyword arguments of
+    `Constraints.build`, that the generator would not write: 2-6 var keys
     with a random tagged subset, 1-4 sites plus Null (small or sparse ids up
     to 10**12), 1-2 fields, a copy cycle among random copies, and a load and
     a store on one shared base."""
@@ -168,7 +185,7 @@ def hand_built_constraints(draw):
     key, site, fname = st.sampled_from(keys), st.sampled_from(sites), st.sampled_from(fields)
     cycle = draw(st.lists(key, min_size=2, max_size=4))
     shared = draw(key)
-    return Constraints(
+    return dict(
         base=draw(st.lists(st.tuples(key, site), min_size=1, max_size=8)),
         copies=list(zip(cycle, cycle[1:] + cycle[:1]))
         + draw(st.lists(st.tuples(key, key), max_size=8)),
@@ -176,12 +193,15 @@ def hand_built_constraints(draw):
         + draw(st.lists(st.tuples(key, fname, key), max_size=4)),
         stores=[(shared, draw(fname), draw(key))]
         + draw(st.lists(st.tuples(key, fname, key), max_size=4)),
-        tagged=draw(st.sets(key)),
+        tagged=draw(st.lists(key, unique=True)),
     )
 
 
+hand_built_constraints = hand_built_keys().map(lambda keys: Constraints.build(**keys))
+
+
 @settings(max_examples=300, deadline=None)
-@given(cons=hand_built_constraints())
+@given(cons=hand_built_constraints)
 def test_worklist_matches_naive_hand_built(cons):
     assert solve_worklist(cons) == solve_naive(cons)
 
@@ -189,12 +209,12 @@ def test_worklist_matches_naive_hand_built(cons):
 def test_tagged_node_in_null_copy_cycle():
     """Null enters a copy cycle a -> t -> b -> a at a; the tagged t stops it,
     so b only sees what passes through t, and a keeps its own Null."""
-    cons = Constraints(
+    cons = Constraints.build(
         base=[("a", NULL_SITE), ("a", 1), ("s", 2)],
         copies=[("a", "t"), ("t", "b"), ("b", "a")],
         loads=[("b", "f", "x")],
         stores=[("t", "f", "s")],
-        tagged={"t"},
+        tagged=["t"],
     )
     sol = solve_worklist(cons)
     assert sol == solve_naive(cons)
@@ -207,7 +227,7 @@ def test_huge_site_ids_stay_cheap():
     """Site ids are only required to be positive and unique, so they can be
     sparse and huge; the solver's bitsets must not grow with the id."""
     big, bigger = 10**12, 10**18 + 7
-    cons = Constraints(
+    cons = Constraints.build(
         base=[("a", big), ("s", bigger), ("b", NULL_SITE)],
         copies=[("a", "b")],
         loads=[("b", "f", "x")],
@@ -226,15 +246,84 @@ def test_worklist_pops_each_fan_in_node_once():
     source (1,060 pops). A plain copy chain cannot tell the two apart."""
     sources = [f"s{i}" for i in range(20)]
     chain = [f"c{i}" for i in range(51)]
-    cons = Constraints(
+    cons = Constraints.build(
         base=[(s, i + 1) for i, s in enumerate(sources)],
         copies=[*zip(["join", *chain], chain), *((s, "join") for s in sources)],
     )
     sol = solve_worklist(cons)
     assert sol == solve_naive(cons)
     assert sol.pt("c50") == set(range(1, 21))
-    assert len(sol.ids) == 72
+    assert len(sol.pts) == 72
     assert sol.pops == 72
+
+
+# -- the interned graph -------------------------------------------------------------
+
+
+def check_graph(cons):
+    """Node ids are dense and distinct, a copy edge runs from a lower to a
+    higher id unless its endpoints share a copy cycle, and tagged nodes are
+    nodes. Returns the graph's constraints keyed back to names."""
+    assert sorted(cons.ids.values()) == list(range(len(cons.ids)))
+    succ = {n: [] for n in range(len(cons.ids))}
+    for src, dst in cons.copies:
+        succ[src].append(dst)
+    for src, dst in cons.copies:
+        assert src < dst or src in postorder(succ, [dst]), (src, dst)
+    assert cons.tagged <= set(range(len(cons.ids)))
+    return keyed(cons)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=hand_built_keys())
+def test_graph_interns_hand_built_keys(keys):
+    cons = Constraints.build(**keys)
+    back = check_graph(cons)
+    for kind in ("base", "copies", "loads", "stores"):
+        assert getattr(back, kind) == keys[kind], kind
+    assert sorted(back.tagged) == sorted(keys["tagged"])
+    # copy-graph keys first, then the rest in order of first mention
+    copied = {k for edge in keys["copies"] for k in edge}
+    order = list(cons.ids)
+    assert set(order[: len(copied)]) == copied
+    mentioned = [k for b, _, x in (*keys["loads"], *keys["stores"]) for k in (b, x)]
+    mentioned += [k for k, _ in keys["base"]] + keys["tagged"]
+    assert order[len(copied) :] == [*dict.fromkeys(k for k in mentioned if k not in copied)]
+
+
+def test_graph_interns_corpus(bundled):
+    for name, program in bundled.items():
+        out, _ = transform_program(program, "ssa+gvn")
+        cons = generate_constraints(out)
+        back = check_graph(cons)
+        assert Constraints.build(**vars(back)) == cons, name
+
+
+def test_first_ladder_rung_counts():
+    """The smallest rung of the benchmark ladder (555 statements), read
+    through the attributes the benchmark reads: constraints per kind,
+    worklist pops, non-empty points-to sets, their summed sizes, and the
+    UNPROVED count."""
+    program = generate(GeneratorConfig(seed=1, max_procs=20, max_blocks=20, max_stmts=10))
+    expected = {
+        "ssa": ((211, 182, 145, 22), 467, 298, 4_651, 113),
+        "ssa+gvn": ((204, 590, 138, 22), 1_371, 682, 11_625, 26),
+    }
+    for level, want in expected.items():
+        out, _ = transform_program(program, level)
+        cons = generate_constraints(out)
+        sol = solve_worklist(cons)
+        sets = [s for s in (*sol.var_pt.values(), *sol.field_pt.values()) if s]
+        report = classify_assertions(out, sol)
+        assert report.total == 115, level
+        got = (
+            (len(cons.base), len(cons.copies), len(cons.loads), len(cons.stores)),
+            sol.pops,
+            len(sets),
+            sum(map(len, sets)),
+            report.unproved,
+        )
+        assert got == want, level
 
 
 # -- classification ---------------------------------------------------------------

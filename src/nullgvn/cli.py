@@ -95,7 +95,7 @@ def _check_semantics(original, transformed, depth: int, dump: str | None) -> str
             interp.dump_traces_jsonl(a, "original", fp)
             interp.dump_traces_jsonl(b, "transformed", fp)
     cut_a, cut_b = a.truncated, b.truncated
-    if cut_a == len(a) and cut_b == len(b):
+    if cut_a == a.total and cut_b == b.total:
         raise InputError([Diagnostic(
             "error",
             f"every trace is truncated at depth {depth}; nothing was compared, raise --depth",
@@ -104,8 +104,8 @@ def _check_semantics(original, transformed, depth: int, dump: str | None) -> str
     if diff is not None:
         print(diff, file=sys.stderr)
         return None
-    return (f"{len(a)} / {len(b)} traces, "
-            f"{100 * cut_a / len(a):.0f}% / {100 * cut_b / len(b):.0f}% truncated")
+    return (f"{a.total} / {b.total} traces, "
+            f"{100 * cut_a / a.total:.0f}% / {100 * cut_b / b.total:.0f}% truncated")
 
 
 # -- subcommands ---------------------------------------------------------------

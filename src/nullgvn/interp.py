@@ -30,37 +30,44 @@ that continues its caller's frame, and a program and its lifted version
 must record the same assignments. Whether the projection keeps an event is
 a property of the event alone.
 
-Forked paths share what they have in common, so a run costs in proportion
-to the events the engine emits, not to traces times their length:
+Each configuration is explored once. The events that can follow a state
+depend only on its configuration: its frames (each with its variables, its
+term-check scratch and its source values), its heap, its globals, the steps
+taken and the next allocation uid. Every part of a configuration is
+hash-consed into one table of tuples per run, so the memo key of a
+configuration is six ints however large its heap or call stack:
 
-- A state keeps only the events emitted since its last fork. Older events
-  sit in the run's table of frozen segments, each segment with its parent,
-  and forked siblings continue the same segment chain: a fork copies no
-  trace, and `full_trace` rebuilds one only for an observer report or when
-  a result is read.
-- Forked siblings share their caller frames and heap objects: a return
-  copies the caller's frame before writing it, and a store replaces the
-  object it writes.
-- Each event is projected (see `project_trace`) as it is emitted, by one
-  lookup in the run's memo, into one trie of projected traces per run. A
-  trie node maps each projected event to its child and carries `_END` where
-  a complete trace ends and `_TRUNCATED_END` where the body of a truncated
-  trace (the trace without its truncation marker) ends.
-- Each state keeps a rolling hash of its raw trace. A finished trace whose
-  hash was seen before is compared with the earlier traces with that hash,
-  event by event, so duplicates are removed exactly.
+- the caller frames, frozen when a call pushes a frame, as one chain id;
+- the top frame, frozen when the key is taken;
+- the heap, a persistent binary trie over uid bits (lowest bit first) whose
+  nodes are interned, so equal heaps share one id and a write makes
+  O(log n) nodes;
+- the globals, the steps taken and the next uid.
 
-`enumerate_traces` returns a `Traces`: the distinct raw traces in
-completion order, rebuilt from their segments when read, with their
-truncated count and the run's projected trie, which `traces_diff` compares
-without reading a trace.
+The traces that can follow a configuration (its suffix language) are built
+once, bottom-up, as a node of each of two hash-consed deterministic acyclic
+automata (see `traces`): one over raw events and one over projected events
+(see `project_trace`). A fork joins its successors' nodes through a union
+memoized on node pairs, so duplicate traces vanish structurally, and path
+counts give the number of distinct traces and how many of them are
+truncated. Exploration is depth-first on an explicit stack, so a
+configuration met again on a later path has finished and is a memo hit.
+Raw event ids number events in the order the run first emits them, which
+fixes the order the raw automaton lists its traces in.
+
+Observers (the soundness replay and the term check) see the first visit to
+each configuration, in the same order as a walk of every path would; a
+memo hit skips only states whose facts they have already seen. A state's
+trace so far is a chain of event segments shared with its forked siblings,
+read back only for an observer's report.
+
+`enumerate_traces` returns a `Traces`: the distinct raw traces in the walk
+order of the raw automaton, with their count and truncated count, and the
+projected automaton that `traces_diff` compares. The trace types and their
+comparison live in `traces` and are re-exported here.
 """
 
 from __future__ import annotations
-
-from array import array
-from collections.abc import Sequence
-from operator import eq
 
 from .ir import (
     Alloc,
@@ -77,160 +84,100 @@ from .ir import (
     original_name,
 )
 from .solver import NULL_BIT, PointsToSolution, var_key
+from .traces import (
+    ACCEPT,
+    CUT_ONLY,
+    TRUNCATED,
+    Automaton,
+    Traces,
+    dump_traces_jsonl,
+    is_truncated,
+    project_event,
+    project_trace,
+    traces_diff,
+    traces_equivalent,
+)
+
+__all__ = [
+    "DEFAULT_TRACE_CAP", "TRUNCATED", "TraceLimitError", "Traces",
+    "check_solution_soundness", "check_term_consistency", "dump_traces_jsonl",
+    "enumerate_traces", "is_truncated", "project_trace", "traces_diff",
+    "traces_equivalent",
+]
 
 DEFAULT_TRACE_CAP = 10**6
 
 _MISSING = object()
 
-TRUNCATED = ("truncated",)
-
-# Marks in a projected trie node: a complete trace ends here / the body of a
-# truncated trace ends here. Event keys are tuples, so these never collide.
-_END = object()
-_TRUNCATED_END = object()
-
 
 class TraceLimitError(Exception):
-    """More traces than the configured cap; exploration was aborted."""
-
-
-def _mix(digest: int, ev: tuple) -> int:
-    """The rolling hash of a trace extended by one raw event."""
-    return hash((digest, ev))
-
-
-class _Segments:
-    """The frozen event segments of one run, which all its states share.
-
-    Segment i holds `log[bounds[i]:bounds[i + 1]]` and continues segment
-    `parents[i]` (nothing when -1); a trace is a segment with its ancestors.
-    """
-
-    __slots__ = ("log", "bounds", "parents")
-
-    def __init__(self):
-        self.log: list = []
-        self.bounds = array("q", [0])
-        self.parents = array("q")
-
-    def add(self, events: list, parent: int) -> int:
-        """Freeze `events` as a new segment after `parent`; its index."""
-        self.log.extend(events)
-        self.bounds.append(len(self.log))
-        self.parents.append(parent)
-        return len(self.parents) - 1
-
-    def same(self, i: int, j: int) -> bool:
-        """Whether segments i and j hold the same events after the same parent."""
-        b = self.bounds
-        return (self.parents[i] == self.parents[j]
-                and self.log[b[i]:b[i + 1]] == self.log[b[j]:b[j + 1]])
-
-    def trace(self, i: int, tail=()) -> tuple:
-        """The events of segment `i` and its ancestors, oldest first, then `tail`."""
-        chain = []
-        while i >= 0:
-            chain.append(i)
-            i = self.parents[i]
-        out = []
-        for i in reversed(chain):
-            out += self.log[self.bounds[i]:self.bounds[i + 1]]
-        out += tail
-        return tuple(out)
-
-
-def _copy_frame(frame: list) -> list:
-    """A copy of a frame that shares none of the dicts a step writes."""
-    p, l, i, v, t, s = frame
-    return [p, l, i, dict(v), dict(t), dict(s)]
+    """More automaton nodes and explored configurations than the configured
+    cap; exploration was aborted."""
 
 
 class _State:
     __slots__ = (
-        "frames", "shared", "heap", "globals", "steps", "next_uid",
-        "segments", "events", "base", "digest", "node", "halted",
+        "top", "below", "heap", "globals", "steps", "next_uid", "events", "base", "ending",
     )
 
-    def __init__(self):
-        # frame: [proc name, block label, stmt index, vars dict,
-        #         term -> value (the term check's scratch for this activation),
-        #         source variable -> value]
-        self.frames = []
-        # Only the top frame is ever written. The frames below it are shared
-        # with forked siblings up to index `shared`, so a return copies the
-        # caller's frame before writing it when it lies below that index.
-        self.shared = 0
-        # uid -> (site, {field: value}); value is None or uid. Forks share the
-        # objects, so a store replaces its object instead of writing into it.
-        self.heap = {}
+    def __init__(self, top: list):
+        # The top frame, the only one ever written: [proc name, block label,
+        # stmt index, vars dict, term -> value (the term check's scratch for
+        # this activation), source variable -> value].
+        self.top = top
+        self.below = -1  # the interned chain of caller frames; -1: none
+        self.heap = 0    # the interned heap trie; 0: empty
         self.globals = {}
         self.steps = 0
         self.next_uid = 1
-        # The trace: segment `base` of the run's `segments` with its
-        # ancestors (none when -1), then `events`, those since the last fork.
-        self.segments = _Segments()
+        # The trace so far: `events` (raw event ids) after the segments of
+        # `base`, a chain (segment, older chain) or None, shared with the
+        # state's forked siblings.
         self.events = []
-        self.base = -1
-        self.digest = 0    # rolling hash of the whole raw trace
-        self.node = None   # where the projected trace stands in the run's trie
-        self.halted = False
+        self.base = None
+        # The event that ends this state's trace when it is next taken from
+        # the stack, so that it numbers after the events of earlier choices.
+        self.ending = None
 
     def clone(self) -> "_State":
         if self.events:
-            self.base = self.segments.add(self.events, self.base)
+            self.base = (self.events, self.base)
             self.events = []
         st = _State.__new__(_State)
-        st.frames = self.frames[:-1] + [_copy_frame(self.frames[-1])]
-        st.shared = self.shared = len(self.frames) - 1
-        st.heap = dict(self.heap)
+        p, l, i, v, t, s = self.top
+        st.top = [p, l, i, dict(v), dict(t), dict(s)]
+        st.below = self.below
+        st.heap = self.heap
         st.globals = dict(self.globals)
         st.steps = self.steps
         st.next_uid = self.next_uid
-        st.segments = self.segments
         st.events = []
         st.base = self.base
-        st.digest = self.digest
-        st.node = self.node
-        st.halted = False
+        st.ending = None
         return st
 
-    def full_trace(self) -> tuple:
-        return self.segments.trace(self.base, self.events)
 
-    def summary(self, value):
-        if value is None:
-            return "null"
-        return ("loc", self.heap[value][0], value)
+def _field(obj: tuple, name: str):
+    """A field of a heap object (site, ((field, value), ...)); Null if unwritten."""
+    for f, v in obj[1]:
+        if f == name:
+            return v
+    return None
 
 
-class Traces(Sequence):
-    """The distinct raw traces of one run, in the order they completed.
+class _Fork:
+    """An explored state that forked, waiting for its successors' languages."""
 
-    Each trace is rebuilt from its segment chain when it is read, so taking
-    the length, the truncated count or the projected trie reads none.
-    """
+    __slots__ = ("key", "events", "pre", "parent", "slot", "results", "pending")
 
-    __slots__ = ("_segments", "_ends", "truncated", "trie")
-
-    def __init__(self, segments: _Segments, ends: array, truncated: int, trie: dict):
-        self._segments = segments
-        self._ends = ends           # each trace's last segment
-        self.truncated = truncated  # how many traces end in `TRUNCATED`
-        self.trie = trie            # the projected trie of all the traces
-
-    def __len__(self) -> int:
-        return len(self._ends)
-
-    def __getitem__(self, i: int) -> tuple:
-        return self._segments.trace(self._ends[i])
-
-    def __iter__(self):
-        return map(self._segments.trace, self._ends)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+    def __init__(self, key, events, pre, parent, slot, n):
+        self.key = key        # the state's configuration
+        self.events = events  # what it emitted before forking
+        self.pre = pre        # what it emitted since the fork before it
+        self.parent = parent  # that fork, and the state's slot there
+        self.slot = slot
+        self.results = [None] * n  # each successor's (raw, projected) nodes
+        self.pending = n
 
 
 class _Engine:
@@ -253,18 +200,69 @@ class _Engine:
         self.depth = depth_bound
         self.max_traces = max_traces
         self.observer = observer
+        if observer is not None:
+            observer.engine = self
         self.source = {
             v: original_name(v) for p in program.procedures for v in p.scope_vars()
         }
-        # raw event -> (the one copy of it the run keeps, its projection or
-        # None when the projection drops it)
-        self.memo: dict = {}
-        self.trie: dict = {}
+        # Interned tuples: frozen frames, caller chains (older chain, frame),
+        # frozen maps and heap trie nodes (object or None, child 0, child 1).
+        # Tuple 0 is the empty heap.
+        self.tuples: list = [(None, 0, 0)]
+        self.tids: dict = {(None, 0, 0): 0}
+        self.raw = Automaton()
+        self.projected = Automaton()
+        self.raw.event(TRUNCATED)  # raw event 0, never an edge
+        self.pids: list = [None]   # raw event id -> projected event id, None if dropped
+        self.memo: dict = {}       # configuration key -> (raw node, projected node)
+
+    # -- interning -----------------------------------------------------------
+
+    def intern(self, t) -> int:
+        n = self.tids.get(t)
+        if n is None:
+            n = self.tids[t] = len(self.tuples)
+            self.tuples.append(t)
+        return n
+
+    def freeze(self, frame: list) -> int:
+        intern = self.intern
+        p, l, i, v, t, s = frame
+        return intern((p, l, i, intern(frozenset(v.items())),
+                       intern(frozenset(t.items())), intern(frozenset(s.items()))))
+
+    def key(self, st: _State) -> tuple:
+        return (st.below, self.freeze(st.top), st.heap,
+                self.intern(frozenset(st.globals.items())), st.steps, st.next_uid)
+
+    def load(self, heap: int, uid: int) -> tuple:
+        """The heap object at `uid`: (site, ((field, value), ...))."""
+        tuples = self.tuples
+        while uid:
+            heap = tuples[heap][1 + (uid & 1)]
+            uid >>= 1
+        return tuples[heap][0]
+
+    def store(self, heap: int, uid: int, obj: tuple) -> int:
+        """The heap with `obj` at `uid`."""
+        tuples, intern = self.tuples, self.intern
+        path = []
+        while uid:
+            bit = uid & 1
+            path.append((heap, bit))
+            heap = tuples[heap][1 + bit]
+            uid >>= 1
+        _, zero, one = tuples[heap]
+        heap = intern((obj, zero, one))
+        for parent, bit in reversed(path):
+            o, zero, one = tuples[parent]
+            heap = intern((o, zero, heap) if bit else (o, heap, one))
+        return heap
 
     # -- state access --------------------------------------------------------
 
     def lookup(self, st: _State, name: str):
-        store = st.globals if name in self.globals else st.frames[-1][3]
+        store = st.globals if name in self.globals else st.top[3]
         return store.get(name, _MISSING)
 
     def bind(self, st: _State, proc: str, name: str, value) -> bool:
@@ -273,7 +271,7 @@ class _Engine:
             changed = st.globals.get(name, _MISSING) != value
             st.globals[name] = value
         else:
-            frame = st.frames[-1]
+            frame = st.top
             frame[3][name] = value
             sources = frame[5]
             source = self.source[name]
@@ -283,6 +281,14 @@ class _Engine:
             self.observer.on_bind(proc, name, value, st)
         return changed
 
+    def site(self, st: _State, uid: int) -> int:
+        return self.load(st.heap, uid)[0]
+
+    def summary(self, st: _State, value):
+        if value is None:
+            return "null"
+        return ("loc", self.site(st, value), value)
+
     def eval_path(self, st: _State, path):
         """("ok", value) | ("unassigned", var) | ("null_deref", None)."""
         value = self.lookup(st, path.base)
@@ -291,77 +297,114 @@ class _Engine:
         for f in path.fields:
             if value is None:
                 return ("null_deref", None)
-            value = st.heap[value][1].get(f)
+            value = _field(self.load(st.heap, value), f)
         return ("ok", value)
 
     def emit(self, st: _State, ev: tuple) -> None:
-        """Append a raw event to the state's trace, and its projection, when
-        it has one, to the state's path in the projected trie; the body of a
-        truncated trace leaves the marker out, as `_unmatched` expects."""
-        known = self.memo.get(ev)
-        if known is None:
-            known = self.memo[ev] = (ev, _project_event(ev))
-        ev, p = known
-        st.events.append(ev)
-        st.digest = _mix(st.digest, ev)
-        if p is None or p is TRUNCATED:
-            return
-        child = st.node.get(p)
-        if child is None:
-            child = st.node[p] = {}
-        st.node = child
+        """Append a raw event to the state's trace."""
+        k = self.raw.eids.get(ev)
+        if k is None:
+            k = self.raw.event(ev)
+            p = project_event(ev)
+            self.pids.append(None if p is None else self.projected.event(p))
+        st.events.append(k)
+
+    def full_trace(self, st: _State) -> tuple:
+        """The raw trace from the start to `st`."""
+        segments = [st.events]
+        base = st.base
+        while base is not None:
+            segment, base = base
+            segments.append(segment)
+        names = self.raw.events
+        return tuple(names[k] for segment in reversed(segments) for k in segment)
+
+    # -- automata ------------------------------------------------------------
+
+    def suffix(self, ks: list, nodes: tuple) -> tuple:
+        """The (raw, projected) nodes of the raw events `ks` followed by the
+        languages `nodes`; a truncation marker ends its trace."""
+        node, pnode = nodes
+        raw, projected, pids = self.raw.node, self.projected.node, self.pids
+        for k in reversed(ks):
+            if k == 0:  # TRUNCATED
+                node = pnode = CUT_ONLY
+                continue
+            node = raw(0, ((k, node),))
+            p = pids[k]
+            if p is not None:
+                pnode = projected(0, ((p, pnode),))
+        return node, pnode
+
+    def join(self, results: list) -> tuple:
+        (node, pnode), *rest = results
+        for n, p in rest:
+            node = self.raw.union(node, n)
+            pnode = self.projected.union(pnode, p)
+        return node, pnode
 
     # -- execution -----------------------------------------------------------
 
     def run(self) -> Traces:
         entry = self.procs[self.program.entry]
-        start = _State()
-        start.frames = [[entry.name, entry.entry_block, 0, {}, {}, {}]]
-        start.node = self.trie
-        stack = [start]
-        segments = start.segments
-        ends = array("q")
-        first: dict[int, int] = {}  # rolling hash -> last segment of its first trace
-        clashes: dict[int, set] = {}  # rolling hash -> its distinct full traces
-        truncated = 0
+        start = _State([entry.name, entry.entry_block, 0, {}, {}, {}])
+        memo, raw = self.memo, self.raw
+        done = (ACCEPT, ACCEPT)
+        root = _Fork(None, [], [], None, 0, 1)
+        stack = [(start, root, 0)]
         while stack:
-            st = stack.pop()
-            if not self.advance(st, stack):
-                continue
-            cut = st.events[-1] is TRUNCATED
-            st.node[_TRUNCATED_END if cut else _END] = True
-            end = segments.add(st.events, st.base)
-            earlier = first.setdefault(st.digest, end)
-            if earlier != end:
-                if segments.same(earlier, end):
-                    continue
-                seen = clashes.get(st.digest)
-                if seen is None:
-                    seen = clashes[st.digest] = {segments.trace(earlier)}
-                trace = segments.trace(end)
-                if trace in seen:
-                    continue
-                seen.add(trace)
-            ends.append(end)
-            truncated += cut
-            if len(ends) > self.max_traces:
+            st, fork, slot = stack.pop()
+            pre = st.events  # emitted since the fork, on the edge to `st`
+            if st.ending is not None:
+                self.emit(st, st.ending)
+                nodes = done
+            else:
+                key = self.key(st)
+                nodes = memo.get(key)
+                if nodes is None:
+                    if pre:
+                        st.base = (pre, st.base)
+                    base = st.base
+                    st.events = []
+                    successors = self.advance(st)
+                    if successors is None:
+                        nodes = memo[key] = self.suffix(st.events, done)
+                    else:
+                        # The fork moved the state's events onto the base
+                        # that its successors share (see `clone`).
+                        after = successors[0].base
+                        events = [] if after is base else after[0]
+                        fork = _Fork(key, events, pre, fork, slot, len(successors))
+                        stack.extend((successors[i], fork, i)
+                                     for i in range(len(successors) - 1, -1, -1))
+                        continue
+            # Hand the language up, finishing each fork whose last successor it was.
+            while True:
+                fork.results[slot] = self.suffix(pre, nodes)
+                fork.pending -= 1
+                if fork.pending or fork is root:
+                    break
+                nodes = memo[fork.key] = self.suffix(fork.events, self.join(fork.results))
+                pre, slot, fork = fork.pre, fork.slot, fork.parent
+            if len(raw.nodes) + len(memo) > self.max_traces:
                 raise TraceLimitError(
-                    f"exceeded {self.max_traces} traces at depth {self.depth}"
+                    f"exceeded {self.max_traces} automaton nodes and configurations"
+                    f" at depth {self.depth}"
                 )
-        return Traces(segments, ends, truncated, self.trie)
+        node, pnode = root.results[0]
+        return Traces(raw, node, self.projected, pnode)
 
-    def advance(self, st: _State, stack: list) -> bool:
-        """Run a state until its trace ends (True) or it forks (False,
-        children pushed onto the stack, first choice on top)."""
+    def advance(self, st: _State):
+        """Run a state until its trace ends (None) or it forks: its
+        successors, first choice first."""
         blocks = self.blocks
         observer = self.observer
-        frames = st.frames
-        while not st.halted:
+        while True:
             if st.steps >= self.depth:
                 self.emit(st, TRUNCATED)
-                return True
+                return None
             st.steps += 1
-            frame = frames[-1]
+            frame = st.top
             stmts, targets = blocks[frame[0]][frame[1]]
             idx = frame[2]
             if idx < len(stmts):
@@ -379,45 +422,40 @@ class _Engine:
                 # The last successor takes over the forking state itself.
                 result = [st.clone() for _ in targets[1:]] + [st]
                 for child, t in zip(result, targets):
-                    frame = child.frames[-1]
+                    frame = child.top
                     frame[1] = t
                     frame[2] = 0
             if result is True:
-                return True
-            if result is False:
-                continue
-            # A list of alternative successor states: depth-first, first
-            # alternative explored first.
-            stack.extend(reversed(result))
-            return False
-        return True
+                return None
+            if result is not False:
+                return result
 
     def ret(self, st: _State) -> bool:
         """Return from the current procedure; True when the trace ends."""
-        callee_frame = st.frames.pop()
+        callee_frame = st.top
         callee = self.procs[callee_frame[0]]
-        if not st.frames:
+        if st.below < 0:
             values = []
             for r in callee.returns:
                 v = callee_frame[3].get(r, _MISSING)
-                values.append("undef" if v is _MISSING else st.summary(v))
+                values.append("undef" if v is _MISSING else self.summary(st, v))
             self.emit(st, ("return", tuple(values)))
             return True
-        caller = st.frames[-1]
-        if len(st.frames) <= st.shared:
-            caller = st.frames[-1] = _copy_frame(caller)
-            st.shared = len(st.frames) - 1
-        call_stmt = self.blocks[caller[0]][caller[1]][0][caller[2]]
+        tuples = self.tuples
+        st.below, frozen = tuples[st.below]
+        p, l, i, v, t, s = tuples[frozen]
+        caller = st.top = [p, l, i, dict(tuples[v]), dict(tuples[t]), dict(tuples[s])]
+        call_stmt = self.blocks[p][l][0][i]
         for out, ret in zip(call_stmt.outs, callee.returns):
-            v = callee_frame[3].get(ret, _MISSING)
-            if v is not _MISSING:
-                self.bind(st, caller[0], out, v)
+            value = callee_frame[3].get(ret, _MISSING)
+            if value is not _MISSING:
+                self.bind(st, p, out, value)
         caller[2] += 1
         return False
 
     def execute(self, st: _State, stmt, loc):
         proc = loc[0]
-        frame = st.frames[-1]
+        frame = st.top
 
         if isinstance(stmt, Assign):
             status, payload = self.eval_path(st, stmt.rhs)
@@ -428,14 +466,14 @@ class _Engine:
                 self.emit(st, ("null_deref", loc))
                 return True
             kind = "assign" if self.bind(st, proc, stmt.lhs, payload) else "reassign"
-            self.emit(st, (kind, stmt.lhs, st.summary(payload)))
+            self.emit(st, (kind, stmt.lhs, self.summary(st, payload)))
             frame[2] += 1
             return False
 
         if isinstance(stmt, Alloc):
             uid = st.next_uid
             st.next_uid += 1
-            st.heap[uid] = (stmt.site, {})
+            st.heap = self.store(st.heap, uid, (stmt.site, ()))
             kind = "assign" if self.bind(st, proc, stmt.lhs, uid) else "reassign"
             self.emit(st, (kind, stmt.lhs, ("loc", stmt.site, uid)))
             frame[2] += 1
@@ -459,8 +497,9 @@ class _Engine:
             if src is _MISSING:
                 self.emit(st, ("unassigned", loc, stmt.src))
                 return True
-            site, fields = st.heap[base]
-            st.heap[base] = (site, {**fields, stmt.field: src})
+            site, fields = self.load(st.heap, base)
+            fields = tuple(sorted({**dict(fields), stmt.field: src}.items()))
+            st.heap = self.store(st.heap, base, (site, fields))
             if self.observer is not None:
                 self.observer.on_store(site, stmt.field, src, st)
             frame[2] += 1
@@ -471,13 +510,10 @@ class _Engine:
             cond = stmt.cond
             if isinstance(cond, Opaque):
                 other = st.clone()
-                other.halted = True
+                other.ending = ("assert_fail" if is_assert else "assume_blocked", loc)
                 frame[2] += 1
                 if is_assert:
                     self.emit(st, ("assert_pass", loc))
-                    self.emit(other, ("assert_fail", loc))
-                else:
-                    self.emit(other, ("assume_blocked", loc))
                 return [st, other]
             status, payload = self.eval_path(st, cond.path)
             if status == "unassigned":
@@ -509,7 +545,8 @@ class _Engine:
                     new_vars[formal] = v
             sources = dict(frame[5])
             sources.update((self.source[f], v) for f, v in new_vars.items())
-            st.frames.append([callee.name, callee.entry_block, 0, new_vars, {}, sources])
+            st.below = self.intern((st.below, self.freeze(frame)))
+            st.top = [callee.name, callee.entry_block, 0, new_vars, {}, sources]
             if self.observer is not None:
                 for formal, v in new_vars.items():
                     self.observer.on_bind(callee.name, formal, v, st)
@@ -525,138 +562,10 @@ def enumerate_traces(
     observer=None,
 ) -> Traces:
     """All traces of the program up to the step budget, deterministically
-    ordered, duplicates removed. Raises TraceLimitError past max_traces."""
+    ordered, duplicates removed. Raises TraceLimitError once the raw
+    automaton's nodes and the explored configurations together number more
+    than max_traces, which bounds the work."""
     return _Engine(program, depth_bound, max_traces, observer).run()
-
-
-# ---------------------------------------------------------------------------
-# Trace projection and comparison
-# ---------------------------------------------------------------------------
-
-def is_truncated(trace: tuple) -> bool:
-    """True when the step budget ran out on the trace's path."""
-    return trace[-1:] == (TRUNCATED,)
-
-
-def _project_event(ev: tuple):
-    """The projected form of one raw event, or None when it is dropped."""
-    kind = ev[0]
-    if kind == "assign":
-        _, var, val = ev
-        return None if is_tagged(var) else ("assign", original_name(var), val)
-    if kind == "reassign":
-        return None
-    if kind == "unassigned":
-        return ("unassigned", original_name(ev[2]))
-    if kind in ("assert_pass", "assert_fail", "null_deref", "assume_blocked"):
-        return (kind,)
-    return ev  # return, truncated
-
-
-def project_trace(trace: tuple) -> tuple:
-    """Canonicalize a trace for cross-version comparison, event by event.
-
-    Tagged variables disappear, SSA versions collapse to their source
-    names, locations are stripped, and `reassign` events are dropped: the
-    interpreter marks an assignment `reassign` when it leaves the value its
-    source variable held in the frame, as SSA merge copies do. An `assign`
-    is kept even when it repeats a value, since an earlier event of the same
-    name may come from another frame.
-    """
-    return tuple(p for p in map(_project_event, trace) if p is not None)
-
-
-def _trie(traces) -> dict:
-    """The projected trie of a `Traces`, or of plain trace tuples projected
-    into the same shape a run builds."""
-    if isinstance(traces, Traces):
-        return traces.trie
-    root: dict = {}
-    for t in traces:
-        p = project_trace(t)
-        truncated = is_truncated(p)
-        node = root
-        for ev in p[:-1] if truncated else p:
-            child = node.get(ev)
-            if child is None:
-                child = node[ev] = {}
-            node = child
-        node[_TRUNCATED_END if truncated else _END] = True
-    return root
-
-
-def _unmatched(trie: dict, other: dict) -> list[tuple]:
-    """The projected traces of `trie` that no trace of `other` matches.
-
-    One iterative walk visits the nodes of `trie` with the node of `other`
-    at the same body (None once `other` has no such body). A complete trace
-    is matched when `other` ends a trace at its body; a truncated one when
-    some trace of `other` runs through its body's end. A truncated trace of
-    `other` matches every longer body below it, so the walk skips those.
-    """
-    unmatched = []
-    stack = [(trie, other, None)]  # path: (event, parent path) or None
-    while stack:
-        node, mate, path = stack.pop()
-        for mark in (_END, _TRUNCATED_END):
-            if mark not in node:
-                continue
-            if mate is not None and (
-                bool(mate) if mark is _TRUNCATED_END
-                else _END in mate or _TRUNCATED_END in mate
-            ):
-                continue
-            body = []
-            p = path
-            while p is not None:
-                ev, p = p
-                body.append(ev)
-            body.reverse()
-            if mark is _TRUNCATED_END:
-                body.append(TRUNCATED)
-            unmatched.append(tuple(body))
-        if mate is not None and _TRUNCATED_END in mate:
-            continue
-        for ev, child in node.items():
-            if ev is _END or ev is _TRUNCATED_END:
-                continue
-            stack.append((child, None if mate is None else mate.get(ev), (ev, path)))
-    return unmatched
-
-
-def traces_diff(a, b) -> str | None:
-    """Human-readable witness of non-equivalence, or None when the projected
-    trace sets are equivalent.
-
-    Complete traces must match exactly. A truncated trace matches anything
-    it is a prefix of: transformations change statement counts, so the
-    budget runs out at different logical points on the two sides. Both
-    sides are compared as projected tries (a `Traces` carries its own; plain
-    trace tuples are projected into one first): one walk over each side's
-    trie, in step with the other's, finds the traces the other side does
-    not match, and the witness is the unmatched trace first in repr order,
-    left side first.
-    """
-    ta, tb = _trie(a), _trie(b)
-    for side, trie, other in (("left", ta, tb), ("right", tb, ta)):
-        unmatched = _unmatched(trie, other)
-        if unmatched:
-            return f"trace only on the {side} side:\n  {min(unmatched, key=repr)}"
-    return None
-
-
-def traces_equivalent(a, b) -> bool:
-    """Set equivalence of projected traces; see traces_diff."""
-    return traces_diff(a, b) is None
-
-
-def dump_traces_jsonl(traces, side: str, fp) -> None:
-    """One JSON object per trace: {"side": side, "trace": [event, ...]}."""
-    import json
-
-    for t in traces:
-        fp.write(json.dumps({"side": side, "trace": t}))
-        fp.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -670,12 +579,13 @@ class _SoundnessObserver:
         self.cap = cap
         self.violations: list[tuple] = []
         self._seen: set = set()
+        self.engine: _Engine | None = None  # set by the engine it observes
 
     def _report(self, key, detail, st):
         if key in self._seen or len(self.violations) >= self.cap:
             return
         self._seen.add(key)
-        self.violations.append((*detail, st.full_trace()))
+        self.violations.append((*detail, self.engine.full_trace(st)))
 
     def before_stmt(self, loc, st):
         pass
@@ -689,7 +599,7 @@ class _SoundnessObserver:
             elif not bits & NULL_BIT:
                 self._report(("var_null", key), ("missing_null", key), st)
         else:
-            site = st.heap[value][0]
+            site = self.engine.site(st, value)
             if not self.sol.holds(bits, site):
                 self._report(("var", key, site), ("missing_site", key, site), st)
 
@@ -703,7 +613,7 @@ class _SoundnessObserver:
                     st,
                 )
         else:
-            site = st.heap[value][0]
+            site = self.engine.site(st, value)
             if not self.sol.holds(cell, site):
                 self._report(
                     ("field", base_site, fname, site),
@@ -730,7 +640,7 @@ class _TermObserver:
         self.recording = recording
         self.cap = cap
         self.violations: list[tuple] = []
-        self.engine: _Engine | None = None
+        self.engine: _Engine | None = None  # set by the engine it observes
 
     def before_stmt(self, loc, st):
         recs = self.recording.get(loc)
@@ -741,7 +651,7 @@ class _TermObserver:
         # values, and the equal-terms claim is within one activation. The
         # top frame is never shared with another state, so it is written
         # in place.
-        seen = st.frames[-1][4]
+        seen = st.top[4]
         for path, term in recs:
             status, value = self.engine.eval_path(st, path)
             if status != "ok":
@@ -750,7 +660,9 @@ class _TermObserver:
             if prev is _MISSING:
                 seen[term] = value
             elif prev != value and len(self.violations) < self.cap:
-                self.violations.append((term, loc, str(path), prev, value, st.full_trace()))
+                self.violations.append(
+                    (term, loc, str(path), prev, value, self.engine.full_trace(st))
+                )
 
     def on_bind(self, proc, var, value, st):
         pass
@@ -767,9 +679,8 @@ def check_term_consistency(
 ) -> list[tuple]:
     """Replay a transformed program and verify that every two expression
     occurrences that received the same term hold the same value on each
-    explored path. `recording` comes from do_gvn(instrument=True)."""
+    explored path. `recording` comes from do_gvn(instrument=True). A
+    configuration reached on several paths is checked, and reported, once."""
     obs = _TermObserver(recording)
-    engine = _Engine(program, depth_bound, max_traces, observer=obs)
-    obs.engine = engine
-    engine.run()
+    enumerate_traces(program, depth_bound, max_traces, observer=obs)
     return obs.violations

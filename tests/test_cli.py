@@ -163,6 +163,58 @@ def test_check_semantics_subcommand(capsys):
         assert pct == round(100 * sum(map(is_truncated, traces)) / len(traces))
 
 
+GOLDEN = json.loads((FsPath(__file__).parent / "golden_oracle.json").read_text(encoding="utf-8"))
+
+
+def test_check_semantics_lines_pinned(capsys, tmp_path):
+    """The `check-semantics --depth 60` line of every bundled program at
+    both levels. The program built in code is checked through its listing."""
+    got = {}
+    for name, program in corpus.bundled_programs().items():
+        path = CORPUS / f"{name}.ir"
+        if not path.exists():
+            path = tmp_path / f"{name}.ir"
+            path.write_text(print_program(program), encoding="utf-8")
+        for level in ("ssa", "ssa+gvn"):
+            code, out, err = run(capsys, "check-semantics", path, "--level", level, "--depth", 60)
+            assert code == 0, err
+            got[f"{name} {level}"] = out.strip().replace(str(path), path.name)
+    assert got == GOLDEN["check_semantics_at_depth_60"]
+
+
+def test_check_semantics_deep(capsys):
+    """`loop_nested` at depth 80: 1,318,117 distinct original traces,
+    923,085 of them truncated, the counts a path-by-path enumeration gives.
+    Depth 200 completes too."""
+    path = CORPUS / "loop_nested.ir"
+    code, out, err = run(capsys, "check-semantics", path, "--depth", 80)
+    assert code == 0, err
+    depth, n_a, _, pct_a, _ = map(int, COVERAGE.search(out).groups())
+    assert (depth, n_a, pct_a) == (80, 1318117, 70)
+    original = enumerate_traces(corpus.bundled_programs()["loop_nested"], 80)
+    assert (len(original), original.truncated) == (1318117, 923085)
+    code, out, err = run(capsys, "check-semantics", path, "--depth", 200)
+    assert code == 0, err
+    assert COVERAGE.search(out).group(1) == "200"
+
+
+def test_check_semantics_counts_past_len(capsys, tmp_path):
+    """64 two-way choices in a row give 2^64 distinct traces, more than
+    `len` can return; the line still reports the exact counts."""
+    stages = "".join(
+        f" S{i}: goto A{i}, B{i}; A{i}: assert (x == Null); goto S{i + 1}; B{i}: goto S{i + 1};"
+        for i in range(64)
+    )
+    path = tmp_path / "choices.ir"
+    path.write_text(
+        f"procedure main() {{ var x; L: x := Null; goto S0; {stages} S64: return; }}",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check-semantics", path, "--depth", 400)
+    assert code == 0, err
+    assert f"({2**64} / {2**64} traces, 0% / 0% truncated)" in out
+
+
 @pytest.mark.parametrize("command", [["check-semantics"], ["analyze", "--check-semantics"]])
 def test_check_semantics_all_truncated_fails(capsys, tmp_path, command):
     """A program whose every path runs out of budget compares nothing."""

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path as FsPath
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,14 +103,46 @@ def test_paths_with_one_raw_trace_give_one_trace():
     assert list(traces) == [(("return", ()),)]
 
 
-def test_dedup_exact_when_every_rolling_hash_clashes(bundled, monkeypatch):
-    """Duplicates are found by comparing traces, not by their rolling hash."""
-    expected = {name: enumerate_traces(p, 48) for name, p in bundled.items()}
-    monkeypatch.setattr(interp, "_mix", lambda digest, ev: 0)
+GOLDEN = json.loads((FsPath(__file__).parent / "golden_oracle.json").read_text(encoding="utf-8"))
+
+
+def test_traces_pinned_at_depth_48(bundled):
+    """Each bundled program's raw traces at depth 48: their count, how many
+    are truncated, and the sha256 of their sorted reprs."""
+    got = {}
     for name, program in bundled.items():
         traces = enumerate_traces(program, 48)
-        assert traces == expected[name], name
-        assert traces.truncated == expected[name].truncated, name
+        digest = hashlib.sha256("\n".join(sorted(map(repr, traces))).encode()).hexdigest()
+        got[name] = {"traces": len(traces), "truncated": traces.truncated, "sha256": digest}
+    assert got == GOLDEN["traces_at_depth_48"]
+
+
+ALLOCATION_LOOP = "procedure main() { var x; L0: x := new(1); goto L0, L1; L1: return; }"
+
+
+def test_allocation_loop_runs_deep():
+    """Every configuration's memo key is six ints, whatever the heap holds,
+    and no walk recurses."""
+    engine = interp._Engine(parse_ok(ALLOCATION_LOOP), 10_000, interp.DEFAULT_TRACE_CAP)
+    traces = engine.run()
+    assert (len(traces), traces.truncated) == (5000, 1)
+    assert {tuple(map(type, key)) for key in engine.memo} == {(int,) * 6}
+
+
+def test_soundness_reports_a_shared_configuration_once():
+    """Both arms reach the same configuration at L3 after different events.
+    The second arm is a memo hit: the missed site is reported once, with the
+    first arm's trace as its witness."""
+    program = parse_ok(
+        "procedure main() { var x; var y; L0: y := Null; goto L1, L2;"
+        " L1: assert (y == Null); goto L3; L2: assert (y == Null); goto L3;"
+        " L3: x := new(1); return; }"
+    )
+    broken = solve_worklist(generate_constraints(program, disable_rule="alloc"))
+    assert check_solution_soundness(program, broken, 32) == [(
+        "missing_site", "main::x", 1,
+        (("assign", "y", "null"), ("assert_pass", ("main", "L1", 0))),
+    )]
 
 
 A_LOC = ("assign", "a", ("loc", 1, 1))
@@ -355,7 +391,7 @@ GENERATED = dict(max_blocks=8, max_stmts=3, loop_prob=0.4)
     depths=st.tuples(st.integers(2, 32), st.integers(2, 32)),
 )
 def test_traces_results_on_generated_programs(seeds, depths):
-    """A run's projected trie compares like its traces as plain tuples and
+    """A run's projected automaton compares like its traces as plain tuples and
     like the reference: against the program's ssa+gvn version, the program
     cut at another depth, and another program (these two mostly not
     equivalent). A run's counts are those of its traces."""

@@ -17,7 +17,7 @@ def run_script(name: str, *args: str) -> str:
 
 
 def test_differential_fuzz_script():
-    out = run_script("differential_fuzz.py", "--seeds", "5", "--depth", "16")
+    out = run_script("differential_fuzz.py", "--seeds", "5", "--depth", "48")
     assert out.splitlines()[-1] == "5 seeds checked, 0 failures"
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -241,7 +242,10 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves it
+    unchanged, so repeated `main` calls share it."""
     parser = argparse.ArgumentParser(
         prog="nullgvn",
         description="Non-null assertion checking for a small pointer IR: "

@@ -45,15 +45,15 @@ configuration is six ints however large its heap or call stack:
 - the globals, the steps taken and the next uid.
 
 The traces that can follow a configuration (its suffix language) are built
-once, bottom-up, as a node of each of two hash-consed deterministic acyclic
-automata (see `traces`): one over raw events and one over projected events
-(see `project_trace`). A fork joins its successors' nodes through a union
-memoized on node pairs, so duplicate traces vanish structurally, and path
-counts give the number of distinct traces and how many of them are
-truncated. Exploration is depth-first on an explicit stack, so a
-configuration met again on a later path has finished and is a memo hit.
-Raw event ids number events in the order the run first emits them, which
-fixes the order the raw automaton lists its traces in.
+once, bottom-up, as a node of one hash-consed deterministic acyclic
+automaton over raw events (see `traces`). A fork joins its successors'
+nodes through a union memoized on node pairs, so duplicate traces vanish
+structurally, and path counts give the number of distinct traces and how
+many of them are truncated. Exploration is depth-first on an explicit
+stack, so a configuration met again on a later path has finished and is a
+memo hit. Event ids number events in the order the run first emits them,
+which fixes the order the automaton lists its traces in. Nothing here
+projects: `traces_diff` projects a run's automaton when it compares it.
 
 Observers (the soundness replay and the term check) see the first visit to
 each configuration, in the same order as a walk of every path would; a
@@ -62,12 +62,13 @@ trace so far is a chain of event segments shared with its forked siblings,
 read back only for an observer's report.
 
 `enumerate_traces` returns a `Traces`: the distinct raw traces in the walk
-order of the raw automaton, with their count and truncated count, and the
-projected automaton that `traces_diff` compares. The trace types and their
-comparison live in `traces` and are re-exported here.
+order of the automaton, with their count and truncated count. The trace
+types and their comparison live in `traces` and are re-exported here.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from .ir import (
     Alloc,
@@ -86,13 +87,11 @@ from .ir import (
 from .solver import NULL_BIT, PointsToSolution, var_key
 from .traces import (
     ACCEPT,
-    CUT_ONLY,
     TRUNCATED,
     Automaton,
     Traces,
     dump_traces_jsonl,
     is_truncated,
-    project_event,
     project_trace,
     traces_diff,
     traces_equivalent,
@@ -176,7 +175,7 @@ class _Fork:
         self.pre = pre        # what it emitted since the fork before it
         self.parent = parent  # that fork, and the state's slot there
         self.slot = slot
-        self.results = [None] * n  # each successor's (raw, projected) nodes
+        self.results = [None] * n  # each successor's node
         self.pending = n
 
 
@@ -211,10 +210,7 @@ class _Engine:
         self.tuples: list = [(None, 0, 0)]
         self.tids: dict = {(None, 0, 0): 0}
         self.raw = Automaton()
-        self.projected = Automaton()
-        self.raw.event(TRUNCATED)  # raw event 0, never an edge
-        self.pids: list = [None]   # raw event id -> projected event id, None if dropped
-        self.memo: dict = {}       # configuration key -> (raw node, projected node)
+        self.memo: dict = {}  # configuration key -> node
 
     # -- interning -----------------------------------------------------------
 
@@ -302,12 +298,7 @@ class _Engine:
 
     def emit(self, st: _State, ev: tuple) -> None:
         """Append a raw event to the state's trace."""
-        k = self.raw.eids.get(ev)
-        if k is None:
-            k = self.raw.event(ev)
-            p = project_event(ev)
-            self.pids.append(None if p is None else self.projected.event(p))
-        st.events.append(k)
+        st.events.append(self.raw.event(ev))
 
     def full_trace(self, st: _State) -> tuple:
         """The raw trace from the start to `st`."""
@@ -319,37 +310,12 @@ class _Engine:
         names = self.raw.events
         return tuple(names[k] for segment in reversed(segments) for k in segment)
 
-    # -- automata ------------------------------------------------------------
-
-    def suffix(self, ks: list, nodes: tuple) -> tuple:
-        """The (raw, projected) nodes of the raw events `ks` followed by the
-        languages `nodes`; a truncation marker ends its trace."""
-        node, pnode = nodes
-        raw, projected, pids = self.raw.node, self.projected.node, self.pids
-        for k in reversed(ks):
-            if k == 0:  # TRUNCATED
-                node = pnode = CUT_ONLY
-                continue
-            node = raw(0, ((k, node),))
-            p = pids[k]
-            if p is not None:
-                pnode = projected(0, ((p, pnode),))
-        return node, pnode
-
-    def join(self, results: list) -> tuple:
-        (node, pnode), *rest = results
-        for n, p in rest:
-            node = self.raw.union(node, n)
-            pnode = self.projected.union(pnode, p)
-        return node, pnode
-
     # -- execution -----------------------------------------------------------
 
     def run(self) -> Traces:
         entry = self.procs[self.program.entry]
         start = _State([entry.name, entry.entry_block, 0, {}, {}, {}])
         memo, raw = self.memo, self.raw
-        done = (ACCEPT, ACCEPT)
         root = _Fork(None, [], [], None, 0, 1)
         stack = [(start, root, 0)]
         while stack:
@@ -357,18 +323,18 @@ class _Engine:
             pre = st.events  # emitted since the fork, on the edge to `st`
             if st.ending is not None:
                 self.emit(st, st.ending)
-                nodes = done
+                node = ACCEPT
             else:
                 key = self.key(st)
-                nodes = memo.get(key)
-                if nodes is None:
+                node = memo.get(key)
+                if node is None:
                     if pre:
                         st.base = (pre, st.base)
                     base = st.base
                     st.events = []
                     successors = self.advance(st)
                     if successors is None:
-                        nodes = memo[key] = self.suffix(st.events, done)
+                        node = memo[key] = raw.word(st.events, ACCEPT)
                     else:
                         # The fork moved the state's events onto the base
                         # that its successors share (see `clone`).
@@ -380,19 +346,18 @@ class _Engine:
                         continue
             # Hand the language up, finishing each fork whose last successor it was.
             while True:
-                fork.results[slot] = self.suffix(pre, nodes)
+                fork.results[slot] = raw.word(pre, node)
                 fork.pending -= 1
                 if fork.pending or fork is root:
                     break
-                nodes = memo[fork.key] = self.suffix(fork.events, self.join(fork.results))
+                node = memo[fork.key] = raw.word(fork.events, reduce(raw.union, fork.results))
                 pre, slot, fork = fork.pre, fork.slot, fork.parent
             if len(raw.nodes) + len(memo) > self.max_traces:
                 raise TraceLimitError(
                     f"exceeded {self.max_traces} automaton nodes and configurations"
                     f" at depth {self.depth}"
                 )
-        node, pnode = root.results[0]
-        return Traces(raw, node, self.projected, pnode)
+        return Traces(raw, root.results[0])
 
     def advance(self, st: _State):
         """Run a state until its trace ends (None) or it forks: its

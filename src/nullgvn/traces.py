@@ -3,13 +3,15 @@ comparison.
 
 A node is its flags (a complete trace ends here; the body of a truncated
 trace, the trace without its marker, ends here) and its edges, sorted by
-event id, where event ids number events in the order they were first added.
-Equal languages share one node (Daciuk, Mihov, Watson & Watson,
-Computational Linguistics 2000), a node is made after its children, and a
-union is memoized on node pairs, so duplicate traces vanish structurally
-and path counts give the number of distinct traces. `Traces` reads one
-run's raw automaton as a sequence; `traces_diff` compares two projected
-automata, memoized on node pairs.
+event id, where event ids number events in the order they were first added
+and the truncation marker is event 0. Equal languages share one node
+(Daciuk, Mihov, Watson & Watson, Computational Linguistics 2000), a node is
+made after its children, and a union is memoized on node pairs, so
+duplicate traces vanish structurally and path counts give the number of
+distinct traces. A run builds one automaton over raw events, and `Traces`
+reads it as a sequence. Only `traces_diff` projects: it maps both sides'
+raw automata into one fresh automaton, children first, and compares the
+two projected roots there, memoized on node pairs.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ class Automaton:
     __slots__ = ("events", "eids", "nodes", "ids", "unions")
 
     def __init__(self):
-        self.events: list = []
-        self.eids: dict = {}
+        self.events: list = [TRUNCATED]  # event 0, never an edge
+        self.eids: dict = {TRUNCATED: 0}
         self.nodes: list = [(0, ()), (_END, ()), (_CUT, ())]
         self.ids = {node: n for n, node in enumerate(self.nodes)}
         self.unions: dict = {}  # (a, b) with a < b -> their union
@@ -62,6 +64,29 @@ class Automaton:
             n = self.ids[key] = len(self.nodes)
             self.nodes.append(key)
         return n
+
+    def project(self, source: "Automaton", root: int) -> int:
+        """The node of the projected language of `source` at `root` (see
+        `project_trace`), in one pass over its nodes in ascending order, so
+        children first: a node's projection unites its flags with, for each
+        edge, the child's projection behind the projected event, or the
+        child's projection alone when the event is dropped."""
+        eids = [None if p is None else self.event(p) for p in map(project_event, source.events)]
+        made: list = []  # source node -> projected node
+        for flags, edges in source.nodes[: root + 1]:
+            node = self.node(flags, ())
+            for k, child in edges:
+                p, c = eids[k], made[child]
+                node = self.union(node, c if p is None else self.node(0, ((p, c),)))
+            made.append(node)
+        return made[root]
+
+    def word(self, ids, node: int) -> int:
+        """The node of the events `ids` followed by the language `node`; a
+        truncation marker ends its trace."""
+        for k in reversed(ids):
+            node = CUT_ONLY if k == 0 else self.node(0, ((k, node),))
+        return node
 
     def union(self, a: int, b: int) -> int:
         """The node of both languages, children first on an explicit stack."""
@@ -99,19 +124,20 @@ class Automaton:
 
 
 class Traces(Sequence):
-    """The distinct raw traces of one run: the paths of its raw automaton.
+    """The distinct raw traces of one run: the paths of its automaton from
+    `root`.
 
     Traces are listed in walk order: at each node the trace ending there
     first, then its edges by event id, the event the run emitted first
     first. Counting reads no trace; indexing reads one. `total` is the
-    count as an int of any size, since `len` fails past `sys.maxsize`.
+    count as an int of any size, since `len` fails past `sys.maxsize`;
+    truth and equality read `total`, not `len`.
     """
 
-    __slots__ = ("automaton", "root", "projected", "proot", "_paths", "total", "truncated")
+    __slots__ = ("automaton", "root", "_paths", "total", "truncated")
 
-    def __init__(self, automaton: Automaton, root: int, projected: Automaton, proot: int):
+    def __init__(self, automaton: Automaton, root: int):
         self.automaton, self.root = automaton, root
-        self.projected, self.proot = projected, proot  # what `traces_diff` reads
         paths, cut = [], []  # per node: the traces from it, the truncated ones
         for flags, edges in automaton.nodes:
             c = flags >> 1
@@ -127,6 +153,9 @@ class Traces(Sequence):
 
     def __len__(self) -> int:
         return self.total
+
+    def __bool__(self) -> bool:
+        return self.total > 0
 
     def __getitem__(self, i: int) -> tuple:
         n = self.total
@@ -180,7 +209,8 @@ class Traces(Sequence):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+        total = other.total if isinstance(other, Traces) else len(other)
+        return self.total == total and all(map(eq, self, other))
 
 
 def is_truncated(trace: tuple) -> bool:
@@ -216,34 +246,28 @@ def project_trace(trace: tuple) -> tuple:
     return tuple(p for p in map(project_event, trace) if p is not None)
 
 
-def _projected(traces) -> tuple[Automaton, int]:
-    """The projected automaton and root of a `Traces`, or of plain trace
-    tuples projected into the same shape a run builds."""
+def _read(traces) -> tuple[Automaton, int]:
+    """The automaton and root of a `Traces`, or of plain raw trace tuples
+    read into the same shape a run builds."""
     if isinstance(traces, Traces):
-        return traces.projected, traces.proot
+        return traces.automaton, traces.root
     automaton = Automaton()
     root = _EMPTY
     for t in traces:
-        body = project_trace(t)
-        node = ACCEPT
-        if is_truncated(body):
-            body, node = body[:-1], CUT_ONLY
-        for ev in reversed(body):
-            node = automaton.node(0, ((automaton.event(ev), node),))
-        root = automaton.union(root, node)
+        root = automaton.union(root, automaton.word([automaton.event(ev) for ev in t], ACCEPT))
     return automaton, root
 
 
-def _unmatched(a: Automaton, root: int, b: Automaton, broot: int) -> tuple | None:
-    """The repr-first projected trace of `a` that no trace of `b` matches,
-    or None when every one is matched.
+def _unmatched(automaton: Automaton, root: int, broot: int) -> tuple | None:
+    """The repr-first trace of the language at `root` that no trace of the
+    language at `broot` matches, or None when every one is matched.
 
-    The walk pairs each node of `a` with the node of `b` at the same body
-    (None once `b` has no such body). A complete trace is matched when `b`
-    ends a trace at its body; a truncated one when some trace of `b` runs
-    through its body's end. A truncated trace of `b` matches every longer
-    body below it. Whether a pair has an unmatched trace below it is
-    memoized on the pair.
+    The walk pairs each node below `root` with the node below `broot` at the
+    same body (None once there is no such body). A complete trace is matched
+    when the other side ends a trace at its body; a truncated one when some
+    trace of the other side runs through its body's end. A truncated trace
+    of the other side matches every longer body below it. Whether a pair
+    has an unmatched trace below it is memoized on the pair.
 
     The witness then follows the open pairs from the root. No event's repr
     is a prefix of another's, so the repr of a trace orders by its events
@@ -253,16 +277,16 @@ def _unmatched(a: Automaton, root: int, b: Automaton, broot: int) -> tuple | Non
     """
     if root == _EMPTY:
         return None
-    anodes, names, bnodes = a.nodes, a.events, b.nodes
-    mates: dict = {}  # node of b -> {event: child}
+    nodes, names = automaton.nodes, automaton.events
+    mates: dict = {}  # node -> {event id: child}
 
     def mate(m, k):
         if m is None:
             return None
         edges = mates.get(m)
         if edges is None:
-            edges = mates[m] = {b.events[j]: c for j, c in bnodes[m][1]}
-        return edges.get(names[k])
+            edges = mates[m] = dict(nodes[m][1])
+        return edges.get(k)
 
     memo: dict = {}
 
@@ -274,8 +298,8 @@ def _unmatched(a: Automaton, root: int, b: Automaton, broot: int) -> tuple | Non
                 stack.pop()
                 continue
             n, m = pair
-            flags, edges = anodes[n]
-            mflags = bnodes[m][0] if m is not None else 0
+            flags, edges = nodes[n]
+            mflags = nodes[m][0] if m is not None else 0
             if m is None or flags & _END and not mflags:
                 result = True
             elif mflags & _CUT:
@@ -302,8 +326,8 @@ def _unmatched(a: Automaton, root: int, b: Automaton, broot: int) -> tuple | Non
         return None
     path: list = []
     while True:
-        flags, edges = anodes[n]
-        mflags = bnodes[m][0] if m is not None else 0
+        flags, edges = nodes[n]
+        mflags = nodes[m][0] if m is not None else 0
         best = None  # (repr of the next event, event id or None for the marker, next pair)
         if flags & _CUT and m is None:
             best = (repr(TRUNCATED), None, None)
@@ -330,15 +354,16 @@ def traces_diff(a, b) -> str | None:
     Complete traces must match exactly. A truncated trace matches anything
     it is a prefix of: transformations change statement counts, so the
     budget runs out at different logical points on the two sides. Both
-    sides are compared as projected automata (a `Traces` carries its own;
-    plain trace tuples are projected into one first): one walk over each
-    side's automaton, in step with the other's, finds whether the other
-    side leaves a trace unmatched, and the witness is the unmatched trace
-    first in repr order, left side first.
+    sides (a `Traces`, or plain raw trace tuples read into an automaton
+    first) are projected into one fresh automaton, where equal projected
+    languages are one node: one walk over each side's nodes, in step with
+    the other's, finds whether the other side leaves a trace unmatched, and
+    the witness is the unmatched trace first in repr order, left side first.
     """
-    pa, pb = _projected(a), _projected(b)
+    projected = Automaton()
+    pa, pb = (projected.project(*_read(t)) for t in (a, b))
     for side, x, y in (("left", pa, pb), ("right", pb, pa)):
-        witness = _unmatched(*x, *y)
+        witness = _unmatched(projected, x, y)
         if witness is not None:
             return f"trace only on the {side} side:\n  {witness}"
     return None

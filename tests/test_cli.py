@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nullgvn import corpus
-from nullgvn.cli import main
+from nullgvn.cli import build_parser, main
 from nullgvn.corpus import bundled_sources
 from nullgvn.interp import enumerate_traces, is_truncated
 from nullgvn.parse import parse_program, print_program
@@ -235,6 +235,36 @@ def test_check_semantics_dump(capsys, tmp_path, chained):
     assert all(set(r) == {"side", "trace"} and r["trace"] for r in records)
     sides = [r["side"] for r in records]
     assert sides == ["original"] * n_a + ["transformed"] * n_b
+
+
+def test_consecutive_main_calls_share_no_state(capsys, chained):
+    """The parser is built once per process, yet each call's subcommand and
+    flags apply to that call alone: every output equals the one a freshly
+    built parser gives, and the defaults come back after a flag."""
+    assert build_parser() is build_parser()
+    calls = [
+        ["transform", chained, "--level", "none"],
+        ["transform", chained],
+        ["gen", "--seed", "3", "--loop-prob", "0.9"],
+        ["gen", "--seed", "3"],
+        ["check-semantics", chained, "--level", "ssa", "--depth", "8"],
+        ["check-semantics", chained],
+        ["analyze", chained, "--format", "json"],
+        ["analyze", chained],
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+
+    def untimed(results):
+        return [(code, re.sub(r"timings_ms.*", "", out, flags=re.S), err)
+                for code, out, err in results]
+
+    assert untimed(shared) == untimed(fresh)
+    assert all(a != b for a, b in zip(shared[::2], shared[1::2]))
+    assert shared[6][1].startswith("{") and shared[7][1].startswith(str(chained))
 
 
 def test_report_table(capsys):

@@ -21,6 +21,7 @@ from nullgvn.interp import (
 from nullgvn.ir import Path
 from nullgvn.normalize import lift_loops, to_ssa
 from nullgvn.solver import generate_constraints, solve_worklist
+from nullgvn.traces import ACCEPT, Automaton, Traces
 
 from conftest import parse_ok
 
@@ -127,6 +128,20 @@ def test_allocation_loop_runs_deep():
     traces = engine.run()
     assert (len(traces), traces.truncated) == (5000, 1)
     assert {tuple(map(type, key)) for key in engine.memo} == {(int,) * 6}
+
+
+def test_traces_compare_past_len():
+    """64 two-way choices give 2^64 traces at depth 400, more than `len` can
+    return: truth and comparison read the exact counts instead."""
+    stages = "".join(
+        f" S{i}: goto A{i}, B{i}; A{i}: assert (x == Null); goto S{i + 1}; B{i}: goto S{i + 1};"
+        for i in range(64)
+    )
+    program = parse_ok(f"procedure main() {{ var x; L: x := Null; goto S0; {stages} S64: return; }}")
+    deep, shallow = enumerate_traces(program, 400), enumerate_traces(program, 100)
+    assert (deep.total, shallow.total) == (2**64, 888_855_064_897)
+    assert deep and shallow and deep != shallow and shallow != deep and deep != []
+    assert not Traces(Automaton(), 0)  # node 0 accepts nothing
 
 
 def test_soundness_reports_a_shared_configuration_once():
@@ -408,6 +423,42 @@ def test_traces_results_on_generated_programs(seeds, depths):
         for t in (a, b):
             assert t.truncated == sum(map(is_truncated, t))
             assert len(t) == len(set(t))
+
+
+RAW_EVENTS = [
+    ("assign", "x", ("loc", 1, 1)),
+    ("assign", "x__2", ("loc", 1, 1)),
+    ("assign", "x__3", "null"),
+    ("assign", "gvnTmp__gvn1", ("loc", 1, 1)),
+    ("reassign", "x__2", "null"),
+    ("reassign", "gvnTmp__gvn1", ("loc", 1, 1)),
+    ("unassigned", ("main", "L0", 1), "y__2"),
+    ("unassigned", ("main", "L1", 0), "y"),
+    ("assert_pass", ("main", "L0", 2)),
+    ("assert_pass", ("main", "L1", 2)),
+    ("return", ("null",)),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces=st.lists(st.builds(
+    lambda body, truncated: tuple(body) + ((TRUNC,) if truncated else ()),
+    st.lists(st.sampled_from(RAW_EVENTS), max_size=6), st.booleans(),
+), max_size=8))
+def test_projection_of_an_automaton_lists_the_projected_traces(traces):
+    """Raw traces read into an automaton and projected into another list
+    exactly the projected traces, each once: tagged temporaries and
+    `reassign` events vanish, SSA versions and locations collapse, and
+    a truncated trace keeps its marker."""
+    raw = Automaton()
+    root = 0  # node 0 accepts nothing
+    for t in traces:
+        root = raw.union(root, raw.word([raw.event(ev) for ev in t], ACCEPT))
+    out = Automaton()
+    projected = Traces(out, out.project(raw, root))
+    expected = {project_trace(t) for t in traces}
+    assert len(projected) == len(expected) and set(projected) == expected
+    assert projected.truncated == sum(map(is_truncated, expected))
 
 
 # -- soundness oracle --------------------------------------------------------------

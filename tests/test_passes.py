@@ -3,6 +3,9 @@ listing, equal to a deep snapshot, and no mutable part shared with the
 output (statements and transfers are frozen and may be shared)."""
 
 import copy
+import hashlib
+import json
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -65,3 +68,30 @@ def test_pass_leaves_input_alone(inputs, pass_name):
         assert program == snapshot, name
         assert_nothing_shared(program, out)
 
+
+
+GOLDEN_LISTINGS = FsPath(__file__).parent / "golden_listings.json"
+
+
+def transformed_listings() -> dict[str, dict[str, str]]:
+    """name -> {level: sha256 of the listing} at `ssa` and `ssa+gvn`, for the
+    bundled programs and 200 generated ones (seeds 0-99 with the default
+    generator, `default-N`, and with more blocks and loops, `loops-N`)."""
+    programs = dict(bundled_programs())
+    for seed in range(100):
+        programs[f"default-{seed}"] = generate(GeneratorConfig(seed=seed))
+        programs[f"loops-{seed}"] = generate(
+            GeneratorConfig(seed=seed, max_blocks=8, loop_prob=0.4)
+        )
+    digest = lambda p: hashlib.sha256(print_program(p).encode("utf-8")).hexdigest()
+    out = {}
+    for name, program in sorted(programs.items()):
+        ssa = to_ssa(lift_loops(program))
+        out[name] = {"ssa": digest(ssa), "ssa+gvn": digest(do_gvn(ssa))}
+    return out
+
+
+def test_transformed_listings_pinned():
+    golden = json.loads(GOLDEN_LISTINGS.read_text(encoding="utf-8"))
+    assert len(golden) == 223
+    assert transformed_listings() == golden

@@ -31,9 +31,9 @@ from .ir import (
     Program,
     Return,
     Store,
-    make_tagged,
     validate,
 )
+from .normalize import dominators
 from .parse import parse_program
 
 
@@ -47,48 +47,17 @@ def bundled_sources() -> dict[str, str]:
     }
 
 
-def _chained_field_equiv_rewritten(source: str) -> Program:
-    """The chained-field program after the transformation, built directly
-    since source text cannot declare tagged variables."""
-    program = parse_program(source)
-    assert isinstance(program, Program)
-    proc = program.procedures[0]
-    tag = make_tagged(1)
-    proc.locals.append(tag)
-    out = []
-    for stmt in proc.blocks[0].stmts:
-        if isinstance(stmt, Assign) and stmt.lhs == "b":
-            out.append(Assign("b", Path(tag)))
-        elif isinstance(stmt, Assert):
-            out.append(Assert(NullCheck(Path(tag), True)))
-        else:
-            out.append(stmt)
-            if (
-                isinstance(stmt, Assume)
-                and isinstance(stmt.cond, NullCheck)
-                and stmt.cond.path == Path("z")
-            ):
-                out.append(Assign(tag, Path("z")))
-    proc.blocks[0].stmts = out
-    return program
-
-
 def bundled_programs() -> dict[str, Program]:
     """Name -> parsed program; every entry validates cleanly."""
-    sources = bundled_sources()
     out: dict[str, Program] = {}
-    for name, text in sources.items():
+    for name, text in bundled_sources().items():
         program = parse_program(text, filename=name)
         if isinstance(program, list):
             raise AssertionError(f"bundled program {name} does not parse: {program[0]}")
-        out[name] = program
-    out["chained_field_equiv_rewritten"] = _chained_field_equiv_rewritten(
-        sources["chained_field_equiv"]
-    )
-    for name, program in out.items():
         problems = validate(program)
         if problems:
             raise AssertionError(f"bundled program {name}: {problems[0]}")
+        out[name] = program
     return out
 
 
@@ -212,8 +181,6 @@ class _Gen:
         return proc
 
     def _add_back_edge(self, proc: Procedure) -> None:
-        from .normalize import dominators  # deferred; normalize imports ir only
-
         rng = self.rng
         labels = [b.label for b in proc.blocks]
         u_i = rng.randint(1, len(labels) - 1)

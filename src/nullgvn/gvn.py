@@ -3,15 +3,18 @@
 Two passes per program. The first inserts a fresh tagged temporary
 `gvnTmp__gvnN := e` after every `assume (e != Null)` / `assert (e != Null)`,
 so the fact "e is non-null here" gets a name that is never reassigned.
-The second walks each procedure's blocks in topological order, numbers
-expressions with opaque terms (equal terms mean equal runtime values), and
-substitutes expressions whose term is known non-null with the tagged
-temporary that carries the same value.
+The second, `_number`, walks each procedure's blocks in topological order,
+numbers expressions with opaque terms (equal terms mean equal runtime
+values), and substitutes expressions whose term is known non-null with the
+tagged temporary that carries the same value. Each block keeps one facts
+record: variable -> term, the non-null terms, and term -> tagged variable;
+the field tables and each tagged variable's expression are per procedure.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from . import normalize
 from .ir import (
@@ -20,7 +23,6 @@ from .ir import (
     Assign,
     AssignNull,
     Assume,
-    Block,
     Call,
     NullCheck,
     Path,
@@ -37,13 +39,9 @@ from .ir import (
 
 
 def _next_tag_index(program: Program) -> int:
-    top = 0
-    for proc in program.procedures:
-        for name in proc.scope_vars():
-            index = tag_index(name)
-            if index is not None:
-                top = max(top, index)
-    return top + 1
+    """One past the largest N of any declared `gvnTmp__gvnN`, global or local."""
+    names = itertools.chain(program.globals, *(p.scope_vars() for p in program.procedures))
+    return max((tag_index(name) or 0 for name in names), default=0) + 1
 
 
 def _harvest(cond) -> Path | None:
@@ -73,192 +71,116 @@ def insert_tagged_assignments(program: Program) -> Program:
     return prog
 
 
-class GvnState:
-    """Per-procedure state for the numbering pass.
+class _Facts(NamedTuple):
+    """What the numbering knows at a point of one block."""
 
-    non_null_exprs : block label -> set of terms known non-null there
-    var2expr       : tagged variable -> the expression it was assigned
-    default_var    : block label -> {term: tagged variable used to substitute}
-    hash_value     : block label -> {variable: term}
-    hash_function  : field -> {term: term}, shared across blocks; removing a
-                     field invalidates every term built through it
+    values: dict[str, int]   # variable -> term
+    non_null: set[int]       # terms known non-null
+    tagged: dict[int, str]   # term -> tagged variable assigned it in this block
+
+
+def _number(proc: Procedure, globals_: set[str], terms, namer, recording) -> None:
+    """Number one procedure's expressions and substitute tagged variables.
+
+    Blocks are visited in topological order. A block starts from the facts
+    its predecessors agree on, and each non-null term a predecessor's tagged
+    variable carries is materialized again by a fresh tagged assignment at
+    the top of the block, if its expression still numbers the same there.
+    Terms are opaque integers from `terms`: equal terms mean equal runtime
+    values. With `recording`, each statement's (path, term) pairs are
+    stored under (procedure, block, statement index).
     """
+    # field -> {term: term}, in processing order across blocks; a store to
+    # the field or any call drops the tables it may invalidate.
+    fields: dict[str, dict[int, int]] = {}
+    exprs: dict[str, Path] = {}  # tagged variable -> the expression it was assigned
+    facts: dict[str, _Facts] = {}
 
-    def __init__(self, globals_: set[str], terms: itertools.count):
-        self.non_null_exprs: dict[str, set[int]] = {}
-        self.var2expr: dict[str, Path] = {}
-        self.default_var: dict[str, dict[int, str]] = {}
-        self.hash_value: dict[str, dict[str, int]] = {}
-        self.hash_function: dict[str, dict[int, int]] = {}
-        self.curr_block: str | None = None
-        self.globals = globals_
-        self._terms = terms
-        # (path, term) pairs for the statement being processed, recorded for
-        # the dynamic same-term-same-value check.
-        self.last_records: list[tuple[Path, int]] = []
-
-    def new_term(self) -> int:
-        return next(self._terms)
-
-    def prefix_terms(self, expr: Path) -> list[int]:
-        """Terms for an access path's prefixes, shortest first (element k
-        numbers the prefix with k fields), allocating fresh terms on first
-        sight."""
-        hv = self.hash_value[self.curr_block]
-        term = hv.get(expr.base)
+    def read(path: Path, here: _Facts) -> tuple[Path, int]:
+        """The term of `path`, allocating fresh terms on first sight, and
+        `path` with its longest prefix that a tagged variable carries (every
+        such term is non-null) replaced by that variable."""
+        term = here.values.get(path.base)
         if term is None:
-            term = self.new_term()
-            hv[expr.base] = term
-        terms = [term]
-        for f in expr.fields:
-            table = self.hash_function.setdefault(f, {})
+            term = here.values[path.base] = next(terms)
+        chain = [term]
+        for f in path.fields:
+            table = fields.setdefault(f, {})
             nxt = table.get(term)
             if nxt is None:
-                nxt = self.new_term()
-                table[term] = nxt
+                nxt = table[term] = next(terms)
             term = nxt
-            terms.append(term)
-        return terms
+            chain.append(term)
+        for k in reversed(range(len(chain))):
+            if chain[k] in here.tagged:
+                return Path(here.tagged[chain[k]], path.fields[k:]), term
+        return path, term
 
-    def compute_hash(self, expr: Path) -> int:
-        """Term for an access path, allocating fresh terms on first sight."""
-        return self.prefix_terms(expr)[-1]
-
-    def get_expr(self, expr: Path) -> Path:
-        """Substitute an expression whose term is known non-null.
-
-        The whole expression is tried first, then each shorter prefix,
-        keeping the fields that follow it. A term is substitutable only once
-        a tagged assignment for it has been processed in this block, hence
-        the default_var guard.
-        """
-        terms = self.prefix_terms(expr)
-        default = self.default_var.setdefault(self.curr_block, {})
-        non_null = self.non_null_exprs[self.curr_block]
-        for k in reversed(range(len(terms))):
-            if terms[k] in non_null and terms[k] in default:
-                return Path(default[terms[k]], expr.fields[k:])
-        return expr
-
-    def _rewrite_var(self, name: str) -> str:
-        return self.get_expr(Path(name)).base
-
-    def process_stmt(self, stmt):
-        """Rewrite one statement and update the numbering state.
-
-        Uses are rewritten against the pre-statement state; the target's new
-        term is committed afterwards, so `x := x.f` hashes the old x.
-        """
-        self.last_records = []
-        hv = self.hash_value[self.curr_block]
-        if isinstance(stmt, (Assume, Assert)):
-            cond = stmt.cond
-            if isinstance(cond, NullCheck):
-                path = self.get_expr(cond.path)
-                self.last_records.append((path, self.compute_hash(path)))
-                cond = NullCheck(path, cond.negated)
-            return type(stmt)(cond)
-        if isinstance(stmt, Assign):
-            term = self.compute_hash(stmt.rhs)
-            rhs = self.get_expr(stmt.rhs)
-            hv[stmt.lhs] = term
-            self.last_records.append((rhs, term))
-            return Assign(stmt.lhs, rhs)
-        if isinstance(stmt, (Alloc, AssignNull)):
-            hv[stmt.lhs] = self.new_term()
-            return stmt
-        if isinstance(stmt, Store):
-            src = self._rewrite_var(stmt.src)
-            base = self._rewrite_var(stmt.base)
-            self.last_records.append((Path(src), self.compute_hash(Path(src))))
-            self.last_records.append((Path(base), self.compute_hash(Path(base))))
-            # The store may alias any object reaching this field: every term
-            # built through it is stale from here on (in processing order).
-            self.hash_function.pop(stmt.field, None)
-            return Store(base, stmt.field, src)
-        if isinstance(stmt, Call):
-            args = tuple(self._rewrite_var(a) for a in stmt.args)
-            for a in args:
-                self.last_records.append((Path(a), self.compute_hash(Path(a))))
-            # The callee may store to any field and reassign any global.
-            self.hash_function.clear()
-            for out in stmt.outs:
-                hv.pop(out, None)
-            for g in self.globals:
-                hv.pop(g, None)
-            return Call(stmt.outs, stmt.callee, args)
-        return stmt
-
-    def merge_into_block(self, block: Block, preds: list[str], namer) -> list[Assign]:
-        """Start a block: intersect predecessor facts and materialize a fresh
-        tagged assignment for each surviving non-null term.
-
-        Returns the assignments to prepend. default_var entries for them are
-        filled in when the statement loop processes the assignments, exactly
-        like in-block harvests.
-        """
-        self.curr_block = block.label
-        if not preds:
-            self.non_null_exprs[block.label] = set()
-            self.hash_value[block.label] = {}
-            self.default_var[block.label] = {}
-            return []
-        terms = set.intersection(*(self.non_null_exprs[p] for p in preds))
-        merged: dict[str, int] = {}
-        for var, term in self.hash_value[preds[0]].items():
-            if all(self.hash_value[p].get(var) == term for p in preds[1:]):
-                merged[var] = term
-        self.non_null_exprs[block.label] = terms
-        self.hash_value[block.label] = merged
-        self.default_var[block.label] = {}
-        prefix = []
-        for term in sorted(terms):
-            donor = None
-            for p in preds:
-                if term in self.default_var[p]:
-                    donor = self.default_var[p][term]
-                    break
-            if donor is None:
-                continue
-            expr = self.var2expr[donor]
-            # A store or call between the harvest and this merge may have
-            # invalidated the expression; re-evaluating it here would then
-            # bind the tagged variable to a different (possibly Null) value.
-            # Only terms whose expression still hashes the same are usable.
-            if self.compute_hash(expr) != term:
-                continue
-            tag = make_tagged(next(namer))
-            self.var2expr[tag] = expr
-            prefix.append(Assign(tag, expr))
-        return prefix
-
-
-def _run_pass(proc: Procedure, globals_: set[str], terms, namer, recording):
-    state = GvnState(globals_, terms)
     order = normalize.topo_sort(proc)
     index = {label: i for i, label in enumerate(order)}
     preds = predecessors(proc)
     block_map = proc.block_map()
     for label in order:
         block = block_map[label]
-        ordered_preds = sorted(preds[label], key=index.get)
-        prefix = state.merge_into_block(block, ordered_preds, namer)
-        for tagged_stmt in prefix:
-            proc.locals.append(tagged_stmt.lhs)
-        block.stmts = prefix + block.stmts
-        new_stmts = []
-        for i, stmt in enumerate(block.stmts):
-            new_stmt = state.process_stmt(stmt)
-            if recording is not None and state.last_records:
-                recording[(proc.name, label, i)] = list(state.last_records)
-            if isinstance(new_stmt, Assign) and is_tagged(new_stmt.lhs):
-                term = state.compute_hash(new_stmt.rhs)
-                state.non_null_exprs[label].add(term)
-                state.default_var[label][term] = new_stmt.lhs
-                if new_stmt.lhs not in state.var2expr:
-                    state.var2expr[new_stmt.lhs] = stmt.rhs
-            new_stmts.append(new_stmt)
-        block.stmts = new_stmts
+        ins = [facts[p] for p in sorted(preds[label], key=index.get)]
+        if ins:
+            values = {
+                v: t for v, t in ins[0].values.items()
+                if all(f.values.get(v) == t for f in ins[1:])
+            }
+            here = _Facts(values, set.intersection(*(f.non_null for f in ins)), {})
+        else:
+            here = _Facts({}, set(), {})
+        facts[label] = here
+        prefix = []
+        for term in sorted(here.non_null):
+            donor = next((f.tagged[term] for f in ins if term in f.tagged), None)
+            # A store or call since the donor's assignment may have changed
+            # what its expression evaluates to; re-evaluating it here would
+            # then bind the tagged variable to a different (possibly Null)
+            # value, so only an expression that still numbers the same is used.
+            if donor is not None and read(exprs[donor], here)[1] == term:
+                tag = make_tagged(next(namer))
+                proc.locals.append(tag)
+                prefix.append(Assign(tag, exprs[donor]))
+
+        # Uses are read against the state before the statement and its
+        # target's new term is committed after, so `x := x.f` numbers the old x.
+        out = []
+        for i, stmt in enumerate(prefix + block.stmts):
+            used = []
+            if isinstance(stmt, Assign):
+                rhs, term = read(stmt.rhs, here)
+                here.values[stmt.lhs] = term
+                used.append((rhs, term))
+                if is_tagged(stmt.lhs):
+                    here.non_null.add(term)
+                    here.tagged[term] = stmt.lhs
+                    exprs.setdefault(stmt.lhs, stmt.rhs)
+                stmt = Assign(stmt.lhs, rhs)
+            elif isinstance(stmt, (Assume, Assert)) and isinstance(stmt.cond, NullCheck):
+                used = [read(stmt.cond.path, here)]
+                stmt = type(stmt)(NullCheck(used[0][0], stmt.cond.negated))
+            elif isinstance(stmt, (Alloc, AssignNull)):
+                here.values[stmt.lhs] = next(terms)
+            elif isinstance(stmt, Store):
+                used = [read(Path(stmt.src), here), read(Path(stmt.base), here)]
+                (src, _), (base, _) = used
+                # The store may alias any object reaching this field: every
+                # term built through it is stale from here on.
+                fields.pop(stmt.field, None)
+                stmt = Store(base.base, stmt.field, src.base)
+            elif isinstance(stmt, Call):
+                used = [read(Path(a), here) for a in stmt.args]
+                # The callee may store to any field and reassign any global.
+                fields.clear()
+                for v in (*stmt.outs, *globals_):
+                    here.values.pop(v, None)
+                stmt = Call(stmt.outs, stmt.callee, tuple(p.base for p, _ in used))
+            if recording is not None and used:
+                recording[(proc.name, label, i)] = used
+            out.append(stmt)
+        block.stmts = out
 
 
 def do_gvn(program: Program, instrument: bool = False):
@@ -275,7 +197,7 @@ def do_gvn(program: Program, instrument: bool = False):
     recording: dict | None = {} if instrument else None
     globals_ = set(prog.globals)
     for proc in prog.procedures:
-        _run_pass(proc, globals_, terms, namer, recording)
+        _number(proc, globals_, terms, namer, recording)
     if instrument:
         return prog, recording
     return prog

@@ -330,11 +330,15 @@ def _ssa_proc(proc: Procedure, globals_: set[str]) -> None:
     block_map = proc.block_map()
     scope = proc.scope_vars()
     live_in = _live_at_entry(proc, order)
+    declared = set(scope) | globals_
     counts: dict[str, int] = {}
     new_names: list[str] = []
 
     def version(name: str) -> str:
         n = counts.get(name, 0) + 1
+        # Source text may declare a name of the generated shape `x__N`.
+        while n > 1 and make_version(name, n) in declared:
+            n += 1
         counts[name] = n
         if n == 1:
             return name

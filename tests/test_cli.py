@@ -166,15 +166,12 @@ def test_check_semantics_subcommand(capsys):
 GOLDEN = json.loads((FsPath(__file__).parent / "golden_oracle.json").read_text(encoding="utf-8"))
 
 
-def test_check_semantics_lines_pinned(capsys, tmp_path):
+def test_check_semantics_lines_pinned(capsys):
     """The `check-semantics --depth 60` line of every bundled program at
-    both levels. The program built in code is checked through its listing."""
+    both levels."""
     got = {}
-    for name, program in corpus.bundled_programs().items():
+    for name in corpus.bundled_sources():
         path = CORPUS / f"{name}.ir"
-        if not path.exists():
-            path = tmp_path / f"{name}.ir"
-            path.write_text(print_program(program), encoding="utf-8")
         for level in ("ssa", "ssa+gvn"):
             code, out, err = run(capsys, "check-semantics", path, "--level", level, "--depth", 60)
             assert code == 0, err

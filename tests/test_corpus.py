@@ -60,7 +60,7 @@ BUNDLED_NAMES = CORE | {
 
 def test_packaged_programs_load_and_round_trip():
     sources = bundled_sources()
-    assert set(sources) == BUNDLED_NAMES - {"chained_field_equiv_rewritten"}
+    assert set(sources) == BUNDLED_NAMES
     for name, text in sources.items():
         program = parse_program(text, name)
         assert isinstance(program, Program), name

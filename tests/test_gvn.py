@@ -1,7 +1,4 @@
-import itertools
-
 from nullgvn.gvn import (
-    GvnState,
     check_tagged_dominance,
     do_gvn,
     insert_tagged_assignments,
@@ -23,39 +20,39 @@ from nullgvn.parse import print_program
 from conftest import parse_ok
 
 
-def fresh_state():
-    state = GvnState(globals_=set(), terms=itertools.count(1))
-    state.curr_block = "L1"
-    state.non_null_exprs["L1"] = set()
-    state.hash_value["L1"] = {}
-    state.default_var["L1"] = {}
-    return state
+def recorded_terms(body: str) -> list[int]:
+    """The terms `do_gvn(..., instrument=True)` records for the statements
+    of a one-block `main` over x, y, z, v and w, in statement order."""
+    program = parse_ok(
+        f"procedure main() {{ var x; var y; var z; var v; var w; L1: {body} return; }}"
+    )
+    _, recording = do_gvn(program, instrument=True)
+    return [term for _, records in sorted(recording.items()) for _, term in records]
 
 
 # -- hashing -------------------------------------------------------------------
 
 
 def test_hash_chain_allocates_through_fields():
-    state = fresh_state()
-    t_x = state.compute_hash(Path("x"))
-    t_xf = state.compute_hash(Path("x", ("f",)))
-    t_xfg = state.compute_hash(Path("x", ("f", "g")))
-    assert t_x == 1 and t_xf == 2 and t_xfg == 3
-    # assigning y the same chain reuses the terms
-    state.hash_value["L1"]["y"] = state.compute_hash(Path("x", ("f", "g")))
-    assert state.hash_value["L1"]["y"] == t_xfg
+    # the same chain read twice gets one term, distinct from its prefix's
+    chain, again, prefix = recorded_terms(
+        "x := new(1); y := x.f.g; z := x.f.g; w := x.f;"
+    )
+    assert chain == again
+    assert prefix != chain
 
 
 def test_hash_memoized_within_block():
-    state = fresh_state()
-    assert state.compute_hash(Path("x")) == state.compute_hash(Path("x"))
+    first, second = recorded_terms("x := new(1); y := x; z := x;")
+    assert first == second
 
 
 def test_hash_fresh_after_field_removal():
-    state = fresh_state()
-    old = state.compute_hash(Path("x", ("f",)))
-    state.hash_function.pop("f")
-    assert state.compute_hash(Path("x", ("f",))) != old
+    # y := x.f; then the store's two reads, src v and base w; then z := x.f
+    before, _, _, after = recorded_terms(
+        "x := new(1); v := new(2); w := new(3); y := x.f; w.f := v; z := x.f;"
+    )
+    assert before != after
 
 
 # -- tagged-assignment insertion -------------------------------------------------

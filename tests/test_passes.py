@@ -1,6 +1,8 @@
-"""Every pass returns a new program and leaves its input untouched: same
-listing, equal to a deep snapshot, and no mutable part shared with the
-output (statements and transfers are frozen and may be shared)."""
+"""The transform passes as a whole. Every pass returns a new program and
+leaves its input untouched: same listing, equal to a deep snapshot, and no
+mutable part shared with the output (statements and transfers are frozen
+and may be shared). Their listings are pinned, and the names they make up
+do not collide with declared ones."""
 
 import copy
 import hashlib
@@ -10,9 +12,13 @@ from pathlib import Path as FsPath
 import pytest
 
 from nullgvn.corpus import GeneratorConfig, bundled_programs, generate
-from nullgvn.gvn import do_gvn, insert_tagged_assignments
+from nullgvn.gvn import check_tagged_dominance, do_gvn, insert_tagged_assignments
+from nullgvn.ir import validate
 from nullgvn.normalize import lift_loops, to_ssa
-from nullgvn.parse import print_program
+from nullgvn.parse import parse_program, print_program
+from nullgvn.pipeline import stage_witnesses, transform_program
+
+from conftest import parse_ok
 
 PASSES = {
     "lift_loops": ("original", lift_loops),
@@ -95,3 +101,29 @@ def test_transformed_listings_pinned():
     golden = json.loads(GOLDEN_LISTINGS.read_text(encoding="utf-8"))
     assert len(golden) == 223
     assert transformed_listings() == golden
+
+
+# Source text may declare names of the generated shapes (`ir.is_reserved_name`).
+DECLARES_GENERATED_NAMES = {
+    # a global tagged name: fresh tagged temporaries must number past it
+    "global_tagged": (
+        "var gvnTmp__gvn1; procedure main() { var x; L0: x := new(1); "
+        "gvnTmp__gvn1 := x; assume (x != Null); return; }"
+    ),
+    # a declared SSA version: renaming must not reuse it
+    "declared_version": (
+        "procedure main() { var x; var x__2; L0: x := new(1); x := new(2); "
+        "x__2 := Null; assert (x != Null); return; }"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECLARES_GENERATED_NAMES))
+def test_fresh_names_avoid_declared_names(name):
+    program = parse_ok(DECLARES_GENERATED_NAMES[name])
+    for level in ("ssa", "ssa+gvn"):
+        out, _ = transform_program(program, level)
+        assert validate(out) == [], level
+        assert parse_program(print_program(out)) == out, level
+        assert check_tagged_dominance(out) == [], level
+    assert [witness for _, witness in stage_witnesses(program, 20)] == [None] * 3

@@ -89,11 +89,13 @@ def transformed_listings() -> dict[str, dict[str, str]]:
         programs[f"loops-{seed}"] = generate(
             GeneratorConfig(seed=seed, max_blocks=8, loop_prob=0.4)
         )
-    digest = lambda p: hashlib.sha256(print_program(p).encode("utf-8")).hexdigest()
     out = {}
     for name, program in sorted(programs.items()):
         ssa = to_ssa(lift_loops(program))
-        out[name] = {"ssa": digest(ssa), "ssa+gvn": digest(do_gvn(ssa))}
+        out[name] = {
+            level: hashlib.sha256(print_program(p).encode("utf-8")).hexdigest()
+            for level, p in (("ssa", ssa), ("ssa+gvn", do_gvn(ssa)))
+        }
     return out
 
 

@@ -160,6 +160,62 @@ def test_soundness_reports_a_shared_configuration_once():
     )]
 
 
+WITNESS_PROGRAM = """
+procedure f(var p : int) returns r : int { L0: r := p; return; }
+procedure main() {
+  var a; var b; var c; var d; var e;
+  L0: a := Null; goto L1, L2;
+  L1: goto L3, L4;
+  L3: assert (a == Null); goto L5, L6;
+  L4: assert (a == Null); goto L5, L6;
+  L5: b := new(1); return;
+  L6: return;
+  L2: c := new(2); d := call f(c); goto L7, L8;
+  L7: assume *; assert *; e := new(3); return;
+  L8: e := d; assert (e != Null); return;
+}
+"""
+
+
+def test_check_witnesses_pinned():
+    """The full witness traces of both checks. The L4 arm's successors are
+    memo hits on the L3 arm's; the L2 arm runs a call and its return, then
+    an `assume *` and an `assert *` whose failing arms end their traces when
+    they are next taken from the stack, before the L8 arm runs."""
+    program = parse_ok(WITNESS_PROGRAM)
+    a_null = ("assign", "a", "null")
+    called = (a_null, ("assign", "c", ("loc", 2, 1)), ("assign", "r", ("loc", 2, 1)))
+    passed = (*called, ("assert_pass", ("main", "L7", 1)))
+    assert list(enumerate_traces(program, 32)) == [
+        (a_null, ("assert_pass", ("main", "L3", 0)), ("assign", "b", ("loc", 1, 1)), RETURN),
+        (a_null, ("assert_pass", ("main", "L3", 0)), RETURN),
+        (a_null, ("assert_pass", ("main", "L4", 0)), ("assign", "b", ("loc", 1, 1)), RETURN),
+        (a_null, ("assert_pass", ("main", "L4", 0)), RETURN),
+        (*passed, ("assign", "e", ("loc", 3, 2)), RETURN),
+        (*called, ("assert_fail", ("main", "L7", 1))),
+        (*called, ("assume_blocked", ("main", "L7", 0))),
+        (*called, ("assign", "e", ("loc", 2, 1)), ("assert_pass", ("main", "L8", 1)), RETURN),
+    ]
+    broken = solve_worklist(generate_constraints(program, disable_rule="alloc"))
+    assert check_solution_soundness(program, broken, 32) == [
+        ("missing_site", "main::b", 1, (a_null, ("assert_pass", ("main", "L3", 0)))),
+        ("missing_site", "main::c", 2, (a_null,)),
+        ("missing_site", "f::p", 2, called[:2]),
+        ("missing_site", "f::r", 2, called[:2]),
+        ("missing_site", "main::d", 2, called),
+        ("missing_site", "main::e", 3, passed),
+        ("missing_site", "main::e", 2, called),
+    ]
+    recording = {
+        ("main", "L2", 1): [(Path("c"), 1)], ("main", "L7", 2): [(Path("a"), 1)],
+        ("main", "L8", 0): [(Path("a"), 2)], ("main", "L8", 1): [(Path("e"), 2)],
+    }
+    assert check_term_consistency(program, recording, 32) == [
+        (1, ("main", "L7", 2), "a", 1, None, passed),
+        (2, ("main", "L8", 1), "e", None, 1, (*called, ("assign", "e", ("loc", 2, 1)))),
+    ]
+
+
 A_LOC = ("assign", "a", ("loc", 1, 1))
 B_LOC = ("assign", "b", ("loc", 2, 2))
 RETURN = ("return", ())

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Differential fuzzing loop: trace equivalence and solver soundness over a
-seed range. Exit status 1 if any seed misbehaves."""
+"""Differential fuzzing loop: trace equivalence, solver agreement and
+soundness, and the value numbering's term replay over a seed range. Exit
+status 1 if any seed misbehaves."""
 
 import argparse
 import sys
@@ -9,8 +10,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nullgvn.corpus import GeneratorConfig, generate
-from nullgvn.gvn import check_tagged_dominance
-from nullgvn.interp import check_solution_soundness
+from nullgvn.gvn import check_tagged_dominance, do_gvn
+from nullgvn.interp import check_solution_soundness, check_term_consistency
 from nullgvn.pipeline import stage_witnesses, transform_program
 from nullgvn.solver import generate_constraints, solve_naive, solve_worklist
 
@@ -30,7 +31,8 @@ def main() -> int:
                 print(f"seed {seed}: {stage} changed the trace set")
                 print(witness)
                 failures += 1
-        transformed, _ = transform_program(program, "ssa+gvn")
+        ssa, _ = transform_program(program, "ssa")
+        transformed, recording = do_gvn(ssa, instrument=True)
         cons = generate_constraints(transformed)
         solution = solve_worklist(cons)
         if solve_naive(cons) != solution:
@@ -38,6 +40,9 @@ def main() -> int:
             failures += 1
         if check_solution_soundness(transformed, solution, args.depth // 2):
             print(f"seed {seed}: points-to solution is not an over-approximation")
+            failures += 1
+        if check_term_consistency(transformed, recording, args.depth // 2):
+            print(f"seed {seed}: two occurrences of one term held different values")
             failures += 1
         if check_tagged_dominance(transformed):
             print(f"seed {seed}: tagged assignment does not dominate a use")

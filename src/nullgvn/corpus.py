@@ -53,10 +53,7 @@ def bundled_programs() -> dict[str, Program]:
     for name, text in bundled_sources().items():
         program = parse_program(text, filename=name)
         if isinstance(program, list):
-            raise AssertionError(f"bundled program {name} does not parse: {program[0]}")
-        problems = validate(program)
-        if problems:
-            raise AssertionError(f"bundled program {name}: {problems[0]}")
+            raise AssertionError(f"bundled program {name}: {program[0]}")
         out[name] = program
     return out
 

@@ -55,11 +55,17 @@ memo hit. Event ids number events in the order the run first emits them,
 which fixes the order the automaton lists its traces in. Nothing here
 projects: `traces_diff` projects a run's automaton when it compares it.
 
-Observers (the soundness replay and the term check) see the first visit to
-each configuration, in the same order as a walk of every path would; a
-memo hit skips only states whose facts they have already seen. A state's
-trace so far is a chain of event segments shared with its forked siblings,
-read back only for an observer's report.
+A state's trace so far is one persistent list, (event id, older trace)
+with the newest event first, or None: emitting prepends, and a fork's
+successors share its list. A fork keeps its trace when its state was taken
+from the stack and when it forked, and `Automaton.word` folds the events
+between two such points into the automaton.
+
+The checks (the soundness replay and the term check) set the engine's
+hooks, which run before a statement, at a binding and at a store. They see
+the first visit to each configuration, in the same order as a walk of
+every path would; a memo hit skips only states whose facts they have
+already seen. A trace is read back whole only for a check's report.
 
 `enumerate_traces` returns a `Traces`: the distinct raw traces in the walk
 order of the automaton, with their count and truncated count. The trace
@@ -115,9 +121,7 @@ class TraceLimitError(Exception):
 
 
 class _State:
-    __slots__ = (
-        "top", "below", "heap", "globals", "steps", "next_uid", "events", "base", "ending",
-    )
+    __slots__ = ("top", "below", "heap", "globals", "steps", "next_uid", "trace", "ending")
 
     def __init__(self, top: list):
         # The top frame, the only one ever written: [proc name, block label,
@@ -129,19 +133,14 @@ class _State:
         self.globals = {}
         self.steps = 0
         self.next_uid = 1
-        # The trace so far: `events` (raw event ids) after the segments of
-        # `base`, a chain (segment, older chain) or None, shared with the
-        # state's forked siblings.
-        self.events = []
-        self.base = None
+        # The trace so far, newest event first: (event id, older trace) or
+        # None, shared with the state's forked siblings.
+        self.trace = None
         # The event that ends this state's trace when it is next taken from
         # the stack, so that it numbers after the events of earlier choices.
         self.ending = None
 
     def clone(self) -> "_State":
-        if self.events:
-            self.base = (self.events, self.base)
-            self.events = []
         st = _State.__new__(_State)
         p, l, i, v, t, s = self.top
         st.top = [p, l, i, dict(v), dict(t), dict(s)]
@@ -150,8 +149,7 @@ class _State:
         st.globals = dict(self.globals)
         st.steps = self.steps
         st.next_uid = self.next_uid
-        st.events = []
-        st.base = self.base
+        st.trace = self.trace
         st.ending = None
         return st
 
@@ -167,20 +165,20 @@ def _field(obj: tuple, name: str):
 class _Fork:
     """An explored state that forked, waiting for its successors' languages."""
 
-    __slots__ = ("key", "events", "pre", "parent", "slot", "results", "pending")
+    __slots__ = ("key", "taken", "forked", "parent", "slot", "results", "pending")
 
-    def __init__(self, key, events, pre, parent, slot, n):
+    def __init__(self, key, taken, forked, parent, slot, n):
         self.key = key        # the state's configuration
-        self.events = events  # what it emitted before forking
-        self.pre = pre        # what it emitted since the fork before it
-        self.parent = parent  # that fork, and the state's slot there
+        self.taken = taken    # its trace when it was taken from the stack
+        self.forked = forked  # and when it forked
+        self.parent = parent  # the fork before it, and the state's slot there
         self.slot = slot
         self.results = [None] * n  # each successor's node
         self.pending = n
 
 
 class _Engine:
-    def __init__(self, program: Program, depth_bound: int, max_traces: int, observer=None):
+    def __init__(self, program: Program, depth_bound: int, max_traces: int):
         self.program = program
         self.procs = program.proc_map()
         # proc -> label -> (statements, distinct goto targets or None for return)
@@ -198,9 +196,9 @@ class _Engine:
         self.globals = set(program.globals)
         self.depth = depth_bound
         self.max_traces = max_traces
-        self.observer = observer
-        if observer is not None:
-            observer.engine = self
+        # The checks' hooks, run before a statement, at a binding and at a
+        # store; None when unset.
+        self.before_stmt = self.on_bind = self.on_store = None
         self.source = {
             v: original_name(v) for p in program.procedures for v in p.scope_vars()
         }
@@ -273,8 +271,8 @@ class _Engine:
             source = self.source[name]
             changed = sources.get(source, _MISSING) != value
             sources[source] = value
-        if self.observer is not None:
-            self.observer.on_bind(proc, name, value, st)
+        if self.on_bind is not None:
+            self.on_bind(proc, name, value, st)
         return changed
 
     def site(self, st: _State, uid: int) -> int:
@@ -297,18 +295,16 @@ class _Engine:
         return ("ok", value)
 
     def emit(self, st: _State, ev: tuple) -> None:
-        """Append a raw event to the state's trace."""
-        st.events.append(self.raw.event(ev))
+        """Add a raw event to the state's trace."""
+        st.trace = (self.raw.event(ev), st.trace)
 
     def full_trace(self, st: _State) -> tuple:
         """The raw trace from the start to `st`."""
-        segments = [st.events]
-        base = st.base
-        while base is not None:
-            segment, base = base
-            segments.append(segment)
-        names = self.raw.events
-        return tuple(names[k] for segment in reversed(segments) for k in segment)
+        names, events, trace = self.raw.events, [], st.trace
+        while trace is not None:
+            k, trace = trace
+            events.append(names[k])
+        return tuple(reversed(events))
 
     # -- execution -----------------------------------------------------------
 
@@ -316,42 +312,35 @@ class _Engine:
         entry = self.procs[self.program.entry]
         start = _State([entry.name, entry.entry_block, 0, {}, {}, {}])
         memo, raw = self.memo, self.raw
-        root = _Fork(None, [], [], None, 0, 1)
+        root = _Fork(None, None, None, None, 0, 1)
         stack = [(start, root, 0)]
         while stack:
             st, fork, slot = stack.pop()
-            pre = st.events  # emitted since the fork, on the edge to `st`
+            trace = st.trace  # its events after `fork.forked` label its edge
             if st.ending is not None:
-                self.emit(st, st.ending)
-                node = ACCEPT
+                node = raw.node(0, ((raw.event(st.ending), ACCEPT),))
             else:
                 key = self.key(st)
                 node = memo.get(key)
                 if node is None:
-                    if pre:
-                        st.base = (pre, st.base)
-                    base = st.base
-                    st.events = []
                     successors = self.advance(st)
-                    if successors is None:
-                        node = memo[key] = raw.word(st.events, ACCEPT)
-                    else:
-                        # The fork moved the state's events onto the base
-                        # that its successors share (see `clone`).
-                        after = successors[0].base
-                        events = [] if after is base else after[0]
-                        fork = _Fork(key, events, pre, fork, slot, len(successors))
+                    if successors is not None:
+                        # The last successor has emitted nothing since the fork.
+                        fork = _Fork(key, trace, successors[-1].trace, fork, slot,
+                                     len(successors))
                         stack.extend((successors[i], fork, i)
                                      for i in range(len(successors) - 1, -1, -1))
                         continue
+                    node = memo[key] = raw.word(st.trace, trace, ACCEPT)
             # Hand the language up, finishing each fork whose last successor it was.
             while True:
-                fork.results[slot] = raw.word(pre, node)
+                fork.results[slot] = raw.word(trace, fork.forked, node)
                 fork.pending -= 1
                 if fork.pending or fork is root:
                     break
-                node = memo[fork.key] = raw.word(fork.events, reduce(raw.union, fork.results))
-                pre, slot, fork = fork.pre, fork.slot, fork.parent
+                node = memo[fork.key] = raw.word(
+                    fork.forked, fork.taken, reduce(raw.union, fork.results))
+                trace, slot, fork = fork.taken, fork.slot, fork.parent
             if len(raw.nodes) + len(memo) > self.max_traces:
                 raise TraceLimitError(
                     f"exceeded {self.max_traces} automaton nodes and configurations"
@@ -363,7 +352,7 @@ class _Engine:
         """Run a state until its trace ends (None) or it forks: its
         successors, first choice first."""
         blocks = self.blocks
-        observer = self.observer
+        before_stmt = self.before_stmt
         while True:
             if st.steps >= self.depth:
                 self.emit(st, TRUNCATED)
@@ -374,8 +363,8 @@ class _Engine:
             idx = frame[2]
             if idx < len(stmts):
                 loc = (frame[0], frame[1], idx)
-                if observer is not None:
-                    observer.before_stmt(loc, st)
+                if before_stmt is not None:
+                    before_stmt(loc, st)
                 result = self.execute(st, stmts[idx], loc)
             elif targets is None:
                 result = self.ret(st)
@@ -465,8 +454,8 @@ class _Engine:
             site, fields = self.load(st.heap, base)
             fields = tuple(sorted({**dict(fields), stmt.field: src}.items()))
             st.heap = self.store(st.heap, base, (site, fields))
-            if self.observer is not None:
-                self.observer.on_store(site, stmt.field, src, st)
+            if self.on_store is not None:
+                self.on_store(site, stmt.field, src, st)
             frame[2] += 1
             return False
 
@@ -512,79 +501,29 @@ class _Engine:
             sources.update((self.source[f], v) for f, v in new_vars.items())
             st.below = self.intern((st.below, self.freeze(frame)))
             st.top = [callee.name, callee.entry_block, 0, new_vars, {}, sources]
-            if self.observer is not None:
+            if self.on_bind is not None:
                 for formal, v in new_vars.items():
-                    self.observer.on_bind(callee.name, formal, v, st)
+                    self.on_bind(callee.name, formal, v, st)
             return False
 
         raise TypeError(f"unknown statement {stmt!r}")
 
 
 def enumerate_traces(
-    program: Program,
-    depth_bound: int,
-    max_traces: int = DEFAULT_TRACE_CAP,
-    observer=None,
+    program: Program, depth_bound: int, max_traces: int = DEFAULT_TRACE_CAP
 ) -> Traces:
     """All traces of the program up to the step budget, deterministically
     ordered, duplicates removed. Raises TraceLimitError once the raw
     automaton's nodes and the explored configurations together number more
     than max_traces, which bounds the work."""
-    return _Engine(program, depth_bound, max_traces, observer).run()
+    return _Engine(program, depth_bound, max_traces).run()
 
 
 # ---------------------------------------------------------------------------
 # Dynamic checks built on the interpreter
 # ---------------------------------------------------------------------------
 
-class _SoundnessObserver:
-    def __init__(self, program: Program, solution: PointsToSolution, cap: int = 100):
-        self.globals = set(program.globals)
-        self.sol = solution
-        self.cap = cap
-        self.violations: list[tuple] = []
-        self._seen: set = set()
-        self.engine: _Engine | None = None  # set by the engine it observes
-
-    def _report(self, key, detail, st):
-        if key in self._seen or len(self.violations) >= self.cap:
-            return
-        self._seen.add(key)
-        self.violations.append((*detail, self.engine.full_trace(st)))
-
-    def before_stmt(self, loc, st):
-        pass
-
-    def on_bind(self, proc, var, value, st):
-        key = var_key(proc, var, self.globals)
-        bits = self.sol.bits(key)
-        if value is None:
-            if is_tagged(var):
-                self._report(("tagged_null", key), ("tagged_null", key), st)
-            elif not bits & NULL_BIT:
-                self._report(("var_null", key), ("missing_null", key), st)
-        else:
-            site = self.engine.site(st, value)
-            if not self.sol.holds(bits, site):
-                self._report(("var", key, site), ("missing_site", key, site), st)
-
-    def on_store(self, base_site, fname, value, st):
-        cell = self.sol.cell_bits(base_site, fname)
-        if value is None:
-            if not cell & NULL_BIT:
-                self._report(
-                    ("field_null", base_site, fname),
-                    ("missing_null_field", base_site, fname),
-                    st,
-                )
-        else:
-            site = self.engine.site(st, value)
-            if not self.sol.holds(cell, site):
-                self._report(
-                    ("field", base_site, fname, site),
-                    ("missing_field_site", base_site, fname, site),
-                    st,
-                )
+_VIOLATION_CAP = 100
 
 
 def check_solution_soundness(
@@ -594,46 +533,43 @@ def check_solution_soundness(
     max_traces: int = DEFAULT_TRACE_CAP,
 ) -> list[tuple]:
     """Replay the program and flag every state the points-to solution fails
-    to over-approximate. Empty result = no unsoundness observed."""
-    obs = _SoundnessObserver(program, solution)
-    enumerate_traces(program, depth_bound, max_traces, observer=obs)
-    return obs.violations
+    to over-approximate, each kind of miss once. Empty result = no
+    unsoundness observed."""
+    engine = _Engine(program, depth_bound, max_traces)
+    violations: list[tuple] = []
+    seen: set = set()
 
+    def report(detail, st):
+        if detail not in seen and len(violations) < _VIOLATION_CAP:
+            seen.add(detail)
+            violations.append((*detail, engine.full_trace(st)))
 
-class _TermObserver:
-    def __init__(self, recording, cap: int = 100):
-        self.recording = recording
-        self.cap = cap
-        self.violations: list[tuple] = []
-        self.engine: _Engine | None = None  # set by the engine it observes
+    def on_bind(proc, var, value, st):
+        key = var_key(proc, var, engine.globals)
+        bits = solution.bits(key)
+        if value is None:
+            if is_tagged(var):
+                report(("tagged_null", key), st)
+            elif not bits & NULL_BIT:
+                report(("missing_null", key), st)
+        else:
+            site = engine.site(st, value)
+            if not solution.holds(bits, site):
+                report(("missing_site", key, site), st)
 
-    def before_stmt(self, loc, st):
-        recs = self.recording.get(loc)
-        if not recs:
-            return
-        # Terms live per procedure activation: a recursive activation (as
-        # lifted loops produce) re-evaluates the same locations with new
-        # values, and the equal-terms claim is within one activation. The
-        # top frame is never shared with another state, so it is written
-        # in place.
-        seen = st.top[4]
-        for path, term in recs:
-            status, value = self.engine.eval_path(st, path)
-            if status != "ok":
-                continue
-            prev = seen.get(term, _MISSING)
-            if prev is _MISSING:
-                seen[term] = value
-            elif prev != value and len(self.violations) < self.cap:
-                self.violations.append(
-                    (term, loc, str(path), prev, value, self.engine.full_trace(st))
-                )
+    def on_store(base_site, fname, value, st):
+        cell = solution.cell_bits(base_site, fname)
+        if value is None:
+            if not cell & NULL_BIT:
+                report(("missing_null_field", base_site, fname), st)
+        else:
+            site = engine.site(st, value)
+            if not solution.holds(cell, site):
+                report(("missing_field_site", base_site, fname, site), st)
 
-    def on_bind(self, proc, var, value, st):
-        pass
-
-    def on_store(self, base_site, fname, value, st):
-        pass
+    engine.on_bind, engine.on_store = on_bind, on_store
+    engine.run()
+    return violations
 
 
 def check_term_consistency(
@@ -646,6 +582,29 @@ def check_term_consistency(
     occurrences that received the same term hold the same value on each
     explored path. `recording` comes from do_gvn(instrument=True). A
     configuration reached on several paths is checked, and reported, once."""
-    obs = _TermObserver(recording)
-    enumerate_traces(program, depth_bound, max_traces, observer=obs)
-    return obs.violations
+    engine = _Engine(program, depth_bound, max_traces)
+    violations: list[tuple] = []
+
+    def before_stmt(loc, st):
+        recs = recording.get(loc)
+        if not recs:
+            return
+        # Terms live per procedure activation: a recursive activation (as
+        # lifted loops produce) re-evaluates the same locations with new
+        # values, and the equal-terms claim is within one activation. The
+        # top frame is never shared with another state, so it is written
+        # in place.
+        seen = st.top[4]
+        for path, term in recs:
+            status, value = engine.eval_path(st, path)
+            if status != "ok":
+                continue
+            prev = seen.get(term, _MISSING)
+            if prev is _MISSING:
+                seen[term] = value
+            elif prev != value and len(violations) < _VIOLATION_CAP:
+                violations.append((term, loc, str(path), prev, value, engine.full_trace(st)))
+
+    engine.before_stmt = before_stmt
+    engine.run()
+    return violations

@@ -9,7 +9,10 @@ from . import gvn as gvn_mod
 from . import interp, normalize, solver
 from .ir import Program
 
-TRANSFORM_LEVELS = ("none", "ssa", "ssa+gvn")
+# The transform stages in order, and how many of them each level runs.
+STAGES = (("lift", normalize.lift_loops), ("ssa", normalize.to_ssa), ("gvn", gvn_mod.do_gvn))
+_LEVEL_STAGES = {"none": 0, "ssa": 2, "ssa+gvn": 3}
+TRANSFORM_LEVELS = tuple(_LEVEL_STAGES)
 
 
 @dataclass
@@ -22,24 +25,25 @@ def _ms(t0: float) -> float:
     return (time.monotonic() - t0) * 1000.0
 
 
+def _stages(program: Program, stages, timings: dict[str, float]):
+    """Run `stages` in order from `program`, recording each one's time in
+    `timings`; yields (stage, program after it)."""
+    for stage, run in stages:
+        t0 = time.monotonic()
+        program = run(program)
+        timings[stage] = _ms(t0)
+        yield stage, program
+
+
 def transform_program(program: Program, level: str) -> tuple[Program, dict[str, float]]:
     """Apply the requested transform level; levels are cumulative, gvn
     implies ssa implies loop lifting."""
     if level not in TRANSFORM_LEVELS:
         raise ValueError(f"unknown transform level {level!r}")
-    timings = {"lift": 0.0, "ssa": 0.0, "gvn": 0.0}
+    timings = {stage: 0.0 for stage, _ in STAGES}
     prog = program
-    if level != "none":
-        t0 = time.monotonic()
-        prog = normalize.lift_loops(prog)
-        timings["lift"] = _ms(t0)
-        t0 = time.monotonic()
-        prog = normalize.to_ssa(prog)
-        timings["ssa"] = _ms(t0)
-    if level == "ssa+gvn":
-        t0 = time.monotonic()
-        prog = gvn_mod.do_gvn(prog)
-        timings["gvn"] = _ms(t0)
+    for _, prog in _stages(program, STAGES[: _LEVEL_STAGES[level]], timings):
+        pass
     return prog, timings
 
 
@@ -49,11 +53,9 @@ def stage_witnesses(program: Program, depth: int) -> list[tuple[str, str | None]
     at `depth`, or None when they are equivalent. The original is
     enumerated once."""
     reference = interp.enumerate_traces(program, depth)
-    lifted = normalize.lift_loops(program)
-    ssa = normalize.to_ssa(lifted)
     return [
         (stage, interp.traces_diff(reference, interp.enumerate_traces(prog, depth)))
-        for stage, prog in (("lift", lifted), ("ssa", ssa), ("gvn", gvn_mod.do_gvn(ssa)))
+        for stage, prog in _stages(program, STAGES, {})
     ]
 
 
@@ -87,9 +89,10 @@ def analyze_levels(program: Program) -> tuple[solver.SafetyReport, solver.Safety
     levels. Lifting and renaming run once: do_gvn copies its input, so both
     levels start from the same SSA program, and both reports' timings
     include that shared lift and ssa time."""
-    ssa, timings = transform_program(program, "ssa")
-    ssa_report = _solve(ssa, 0.0, timings)
-    t0 = time.monotonic()
-    transformed = gvn_mod.do_gvn(ssa)
-    gvn_timings = {**timings, "gvn": _ms(t0)}
-    return ssa_report, _solve(transformed, 0.0, gvn_timings)
+    timings = {stage: 0.0 for stage, _ in STAGES}
+    ssa, gvn = (
+        _solve(prog, 0.0, timings)
+        for stage, prog in _stages(program, STAGES, timings)
+        if stage != "lift"
+    )
+    return ssa, gvn

@@ -81,10 +81,13 @@ class Automaton:
             made.append(node)
         return made[root]
 
-    def word(self, ids, node: int) -> int:
-        """The node of the events `ids` followed by the language `node`; a
+    def word(self, trace, stop, node: int) -> int:
+        """The node of the events of `trace` down to `stop` followed by the
+        language `node`. A trace is (event id, older trace) or None, newest
+        event first, and `stop` is `trace` or one of its older traces; a
         truncation marker ends its trace."""
-        for k in reversed(ids):
+        while trace is not stop:
+            k, trace = trace
             node = CUT_ONLY if k == 0 else self.node(0, ((k, node),))
         return node
 
@@ -123,18 +126,19 @@ class Automaton:
         return unions[top]
 
 
-class Traces(Sequence):
+class Traces:
     """The distinct raw traces of one run: the paths of its automaton from
     `root`.
 
-    Traces are listed in walk order: at each node the trace ending there
-    first, then its edges by event id, the event the run emitted first
-    first. Counting reads no trace; indexing reads one. `total` is the
-    count as an int of any size, since `len` fails past `sys.maxsize`;
-    truth and equality read `total`, not `len`.
+    Iteration lists traces in walk order: at each node the trace ending
+    there first, then its edges by event id, the event the run emitted
+    first first. Counting reads no trace. `total` is the count as an int of
+    any size, since `len` fails past `sys.maxsize`; `truncated` counts the
+    truncated traces. Truth and equality (with another `Traces` or a list
+    or tuple of traces) read `total`, not `len`.
     """
 
-    __slots__ = ("automaton", "root", "_paths", "total", "truncated")
+    __slots__ = ("automaton", "root", "total", "truncated")
 
     def __init__(self, automaton: Automaton, root: int):
         self.automaton, self.root = automaton, root
@@ -147,7 +151,6 @@ class Traces(Sequence):
                 c += cut[child]
             paths.append(p)
             cut.append(c)
-        self._paths = paths
         self.total = paths[root]
         self.truncated = cut[root]
 
@@ -156,31 +159,6 @@ class Traces(Sequence):
 
     def __bool__(self) -> bool:
         return self.total > 0
-
-    def __getitem__(self, i: int) -> tuple:
-        n = self.total
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("trace index out of range")
-        nodes, names, paths = self.automaton.nodes, self.automaton.events, self._paths
-        node, path = self.root, []
-        while True:
-            flags, edges = nodes[node]
-            if flags & _END:
-                if i == 0:
-                    return tuple(path)
-                i -= 1
-            if flags & _CUT:
-                if i == 0:
-                    return (*path, TRUNCATED)
-                i -= 1
-            for k, child in edges:
-                if i < paths[child]:
-                    path.append(names[k])
-                    node = child
-                    break
-                i -= paths[child]
 
     def __iter__(self):
         nodes, names = self.automaton.nodes, self.automaton.events
@@ -207,7 +185,7 @@ class Traces(Sequence):
                     path.pop()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
+        if not isinstance(other, (Traces, Sequence)):
             return NotImplemented
         total = other.total if isinstance(other, Traces) else len(other)
         return self.total == total and all(map(eq, self, other))
@@ -254,7 +232,10 @@ def _read(traces) -> tuple[Automaton, int]:
     automaton = Automaton()
     root = _EMPTY
     for t in traces:
-        root = automaton.union(root, automaton.word([automaton.event(ev) for ev in t], ACCEPT))
+        trace = None
+        for ev in t:
+            trace = (automaton.event(ev), trace)
+        root = automaton.union(root, automaton.word(trace, None, ACCEPT))
     return automaton, root
 
 

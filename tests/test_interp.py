@@ -21,7 +21,7 @@ from nullgvn.interp import (
 from nullgvn.ir import Path
 from nullgvn.normalize import lift_loops, to_ssa
 from nullgvn.solver import generate_constraints, solve_worklist
-from nullgvn.traces import ACCEPT, Automaton, Traces
+from nullgvn.traces import Automaton, Traces, _read
 
 from conftest import parse_ok
 
@@ -41,7 +41,7 @@ def test_alloc_then_assert_passes():
     )
     traces = enumerate_traces(program, 32)
     assert len(traces) == 1
-    kinds = [ev[0] for ev in traces[0]]
+    kinds = [ev[0] for ev in next(iter(traces))]
     assert kinds == ["assign", "assert_pass", "return"]
 
 
@@ -51,7 +51,7 @@ def test_null_then_assert_fails():
     )
     traces = enumerate_traces(program, 32)
     assert len(traces) == 1
-    assert traces[0][-1][0] == "assert_fail"
+    assert next(iter(traces))[-1][0] == "assert_fail"
 
 
 def test_unwritten_field_reads_null():
@@ -145,9 +145,8 @@ def test_traces_compare_past_len():
 
 
 def test_soundness_reports_a_shared_configuration_once():
-    """Both arms reach the same configuration at L3 after different events.
-    The second arm is a memo hit: the missed site is reported once, with the
-    first arm's trace as its witness."""
+    """Both arms miss the same site at L3 after different events: it is
+    reported once, with the first arm's trace as its witness."""
     program = parse_ok(
         "procedure main() { var x; var y; L0: y := Null; goto L1, L2;"
         " L1: assert (y == Null); goto L3; L2: assert (y == Null); goto L3;"
@@ -506,10 +505,7 @@ def test_projection_of_an_automaton_lists_the_projected_traces(traces):
     exactly the projected traces, each once: tagged temporaries and
     `reassign` events vanish, SSA versions and locations collapse, and
     a truncated trace keeps its marker."""
-    raw = Automaton()
-    root = 0  # node 0 accepts nothing
-    for t in traces:
-        root = raw.union(root, raw.word([raw.event(ev) for ev in t], ACCEPT))
+    raw, root = _read(traces)
     out = Automaton()
     projected = Traces(out, out.project(raw, root))
     expected = {project_trace(t) for t in traces}

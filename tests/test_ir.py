@@ -217,14 +217,14 @@ def test_postorder_long_chain_needs_no_recursion():
 
 def test_deep_loop_oracle_needs_no_recursion():
     """10,000 steps of an allocation loop that forks on every iteration: the
-    exploration, the automaton unions and walks and the observer replays are
-    all iterative."""
+    exploration, the automaton unions and walks and the hook replays are all
+    iterative."""
     program = parse_ok("procedure main() { var x; L0: x := new(1); assume *; goto L0; }")
     transformed, _ = transform_program(program, "ssa+gvn")
     depth = 10_000
     a, b = enumerate_traces(program, depth), enumerate_traces(transformed, depth)
     assert traces_diff(a, b) is None and traces_diff(b, a) is None
-    deepest = a[0]  # walk order takes the first choice, which never stops
+    deepest = next(iter(a))  # walk order takes the first choice, which never stops
     assert is_truncated(deepest) and len(deepest) > depth // 4
     broken = solve_worklist(generate_constraints(program, disable_rule="alloc"))
     assert check_solution_soundness(program, broken, depth)

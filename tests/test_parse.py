@@ -1,9 +1,14 @@
+import json
+import random
+import re
+from pathlib import Path as FsPath
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nullgvn.corpus import GeneratorConfig, bundled_sources, generate
 from nullgvn.ir import Assign, Assume, Opaque, Path, Program
-from nullgvn.parse import ParseError, _tokenize, parse_program, print_program
+from nullgvn.parse import KEYWORDS, ParseError, _tokenize, parse_program, print_program
 
 from conftest import mutated_program, parse_ok
 
@@ -143,3 +148,52 @@ def test_numerals_outside_decimal_rejected(bad):
     """Only decimal digits make an integer, and no numeral starts an identifier."""
     with pytest.raises(ParseError, match="unexpected character"):
         _tokenize(bad, "t.ir")
+
+
+GOLDEN_DIAGNOSTICS = FsPath(__file__).parent / "golden_diagnostics.json"
+
+# Words of the textual format, found without the parser: the mutations below
+# must not depend on the scanner they check.
+_WORD = re.compile(r"[A-Za-z_]\w*|\d+|[!=:]=|[{}():;,.*]")
+_REPLACEMENTS = sorted(KEYWORDS) + [
+    ":=", "==", "!=", ":", ";", ",", ".", "*", "(", ")", "{", "}",
+    "x", "L1", "main", "gvnTmp__gvn1", "a__b", "0", "7", "\u00b2", "$", "/",
+]
+_SPLICE_CHARS = "ab_1 \t\n\r;:=!.,(){}*/$\u00b2\u00bd\u00e9"
+
+
+def mutated_sources() -> dict[str, str]:
+    """case id -> source text: 88 seeded mutations of each bundled program,
+    22 each of a word deleted, a word duplicated, a word replaced and a span
+    of up to 20 characters replaced by up to 10 random ones."""
+    cases = {}
+    for name, src in bundled_sources().items():
+        rng = random.Random(name)
+        words = [m.span() for m in _WORD.finditer(src)]
+        for i in range(22):
+            s, e = rng.choice(words)
+            cases[f"{name}/delete/{i}"] = src[:s] + src[e:]
+            s, e = rng.choice(words)
+            cases[f"{name}/duplicate/{i}"] = src[:e] + " " + src[s:e] + src[e:]
+            s, e = rng.choice(words)
+            cases[f"{name}/replace/{i}"] = src[:s] + rng.choice(_REPLACEMENTS) + src[e:]
+            s = rng.randrange(len(src) + 1)
+            e = min(len(src), s + rng.randrange(21))
+            text = "".join(rng.choice(_SPLICE_CHARS) for _ in range(rng.randrange(11)))
+            cases[f"{name}/splice/{i}"] = src[:s] + text + src[e:]
+    return cases
+
+
+def diagnostics_of(cases: dict[str, str]) -> dict[str, str]:
+    """case id -> its diagnostics, one a line, or "OK" if it parses and validates."""
+    out = {}
+    for case, text in cases.items():
+        result = parse_program(text, case.split("/")[0] + ".ir")
+        out[case] = "\n".join(map(str, result)) if isinstance(result, list) else "OK"
+    return out
+
+
+def test_mutation_diagnostics_pinned():
+    golden = json.loads(GOLDEN_DIAGNOSTICS.read_text(encoding="utf-8"))
+    assert len(golden) == 2024
+    assert diagnostics_of(mutated_sources()) == golden

@@ -1,4 +1,9 @@
-"""Textual IR front end: tokenizer, recursive-descent parser, pretty-printer.
+"""Textual IR front end: word scanner, recursive-descent parser, pretty-printer.
+
+The scanner is one `findall` of one regex: the source becomes a plain list of
+words, "" standing for end of input, and a word's first character gives its
+kind. Nothing tracks positions while parsing; a diagnostic rescans the text
+to find the line and column of the word it names.
 
 Grammar (line comments with //, `*` is an opaque condition):
 
@@ -28,7 +33,6 @@ source is trusted as non-null: an open ROADMAP item, the strict xfail
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .ir import (
     Alloc,
@@ -53,27 +57,24 @@ from .ir import (
 )
 
 KEYWORDS = {"var", "procedure", "returns", "goto", "return", "assume", "assert", "call", "new", "Null"}
+PUNCTUATION = {"!=", "==", ":=", "{", "}", "(", ")", ":", ";", ",", ".", "*"}
 
-# One alternative per token kind. Blanks and `//` comments match no named
-# group and are skipped; `bad` catches any character no token can start with.
-# `[^\W\d]` also admits non-decimal numerals such as `²`, so `_tokenize`
-# checks that an identifier starts with a letter or `_`. An integer is a run
-# of decimal digits, exactly what `int()` accepts.
-_TOKEN_RE = re.compile(
-    r"[ \t\r]+|//[^\n]*"
-    r"|(?P<ident>[^\W\d]\w*)"
-    r"|(?P<punct>[!=:]=|[{}():;,.*])"
-    r"|(?P<nl>\n)"
-    r"|(?P<int>\d+)"
-    r"|(?P<bad>.)"
+# Blanks and `//` comments match an empty group, and `findall` drops them.
+# A word's first character gives its kind: a letter or `_` starts an
+# identifier, a decimal digit an integer (a run of decimal digits, exactly
+# what `int()` accepts), anything else punctuation. `[^\W\d]` also admits
+# non-decimal numerals such as `²`, and the last alternative catches any
+# character no word can start with: both are bad characters, which the
+# parser never accepts.
+_WORD_RE = re.compile(
+    r"[ \t\r\n]+|//[^\n]*"
+    r"|([^\W\d]\w*|[!=:]=|[{}():;,.*]|\d+|.)"
 )
 
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+def _is_ident(word: str) -> bool:
+    first = word[:1]
+    return first.isalpha() or first == "_"
 
 
 class ParseError(Exception):
@@ -82,81 +83,72 @@ class ParseError(Exception):
         self.diagnostic = diagnostic
 
 
-def _tokenize(text: str, filename: str) -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-            continue
-        word = m.group()
-        col = m.start() - line_start + 1
-        if kind == "bad" or kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
-            raise ParseError(
-                Diagnostic("error", f"unexpected character {word[0]!r}", filename, line, col)
-            )
-        toks.append(Token(kind, word, line, col))
-    toks.append(Token("eof", "", line, len(text) - line_start + 1))
-    return toks
+def _error(text: str, filename: str, message: str, index: int) -> ParseError:
+    """The error for the word at `index` ("" past the last word is the end
+    of input), unless the text has a bad character anywhere: the first one
+    wins over any syntax error."""
+    at = len(text)
+    for n, m in enumerate(m for m in _WORD_RE.finditer(text) if m[1]):
+        word = m[1]
+        if not (_is_ident(word) or word[0].isdecimal() or word in PUNCTUATION):
+            message, at = f"unexpected character {word[0]!r}", m.start()
+            break
+        if n == index:
+            at = m.start()
+    line = text.count("\n", 0, at) + 1
+    col = at - text.rfind("\n", 0, at)
+    return ParseError(Diagnostic("error", message, filename, line, col))
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str):
-        self.toks = tokens
-        self.pos = 0
+    def __init__(self, text: str, filename: str):
+        self.text = text
         self.filename = filename
+        self.words = [w for w in _WORD_RE.findall(text) if w] + [""]
+        self.pos = 0
 
-    # -- token plumbing ----------------------------------------------------
+    # -- word plumbing -----------------------------------------------------
+    # Every caller rejects "" once it has read it, so `next` never runs past
+    # the end of input.
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def next(self) -> str:
+        word = self.words[self.pos]
+        self.pos += 1
+        return word
 
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def fail(self, message: str, back: int = 0) -> ParseError:
+        """The error at the next word, or at the one read `back` words ago."""
+        return _error(self.text, self.filename, message, self.pos - back)
 
-    def fail(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(Diagnostic("error", message, self.filename, tok.line, tok.col))
-
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise self.fail(f"expected '{text}', found '{tok.text or 'end of input'}'", tok)
-        return tok
+    def expect(self, text: str) -> None:
+        word = self.next()
+        if word != text:
+            raise self.fail(f"expected '{text}', found '{word or 'end of input'}'", 1)
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.words[self.pos] == text
 
     def eat(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        if self.words[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
     def ident(self, what: str = "identifier") -> str:
-        tok = self.next()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            raise self.fail(f"expected {what}, found '{tok.text or 'end of input'}'", tok)
-        if is_reserved_name(tok.text):
+        word = self.next()
+        if not _is_ident(word) or word in KEYWORDS:
+            raise self.fail(f"expected {what}, found '{word or 'end of input'}'", 1)
+        if is_reserved_name(word):
             raise self.fail(
-                f"'{tok.text}': identifiers containing '__' are reserved for generated names",
-                tok,
+                f"'{word}': identifiers containing '__' are reserved for generated names", 1
             )
-        return tok.text
+        return word
 
     # -- grammar -----------------------------------------------------------
 
     def program(self) -> Program:
         globals_: list[str] = []
-        while self.at("var"):
-            self.next()
+        while self.eat("var"):
             globals_.append(self.ident("global name"))
             self.skip_type()
             self.expect(";")
@@ -165,16 +157,15 @@ class _Parser:
             raise self.fail("expected procedure")
         while self.at("procedure"):
             procs.append(self.procedure())
-        if self.peek().kind != "eof":
+        if not self.at(""):
             raise self.fail("expected procedure or end of input")
         entry = "main" if any(p.name == "main" for p in procs) else procs[0].name
         return Program(globals=globals_, procedures=procs, entry=entry)
 
     def skip_type(self) -> None:
         if self.eat(":"):
-            tok = self.next()
-            if tok.kind != "ident":
-                raise self.fail("expected type name after ':'", tok)
+            if not _is_ident(self.next()):
+                raise self.fail("expected type name after ':'", 1)
 
     def decl_name(self, what: str) -> str:
         self.eat("var")
@@ -203,8 +194,7 @@ class _Parser:
                 returns.append(self.decl_name("return name"))
         self.expect("{")
         locals_: list[str] = []
-        while self.at("var"):
-            self.next()
+        while self.eat("var"):
             locals_.append(self.ident("local name"))
             self.skip_type()
             self.expect(";")
@@ -228,27 +218,24 @@ class _Parser:
         self.expect(":")
         stmts: list[Statement] = []
         while True:
-            if self.at("goto"):
-                self.next()
+            if self.eat("goto"):
                 targets = [self.ident("label")]
                 while self.eat(","):
                     targets.append(self.ident("label"))
                 self.expect(";")
                 return Block(label, stmts, Goto(tuple(targets)))
-            if self.at("return"):
-                self.next()
+            if self.eat("return"):
                 self.expect(";")
                 return Block(label, stmts, Return())
             stmts.append(self.statement())
 
     def statement(self) -> Statement:
         if self.at("assume") or self.at("assert"):
-            kw = self.next().text
+            kw = self.next()
             cond = self.condition()
             self.expect(";")
             return Assume(cond) if kw == "assume" else Assert(cond)
-        if self.at("call"):
-            self.next()
+        if self.eat("call"):
             return self.call_tail(())
         first = self.ident("variable")
         if self.eat("."):
@@ -267,17 +254,15 @@ class _Parser:
         self.expect(":=")
         if self.eat("call"):
             return self.call_tail((first,))
-        if self.at("new"):
-            self.next()
+        if self.eat("new"):
             self.expect("(")
-            tok = self.next()
-            if tok.kind != "int":
-                raise self.fail("expected allocation site id", tok)
+            site = self.next()
+            if not site[:1].isdecimal():
+                raise self.fail("expected allocation site id", 1)
             self.expect(")")
             self.expect(";")
-            return Alloc(first, int(tok.text))
-        if self.at("Null"):
-            self.next()
+            return Alloc(first, int(site))
+        if self.eat("Null"):
             self.expect(";")
             return AssignNull(first)
         rhs = self.path()
@@ -309,19 +294,18 @@ class _Parser:
         parenthesized = self.eat("(")
         p = self.path()
         op = self.next()
-        if op.text not in ("!=", "=="):
-            raise self.fail("expected '!=' or '==' in condition", op)
+        if op not in ("!=", "=="):
+            raise self.fail("expected '!=' or '==' in condition", 1)
         self.expect("Null")
         if parenthesized:
             self.expect(")")
-        return NullCheck(p, negated=(op.text == "!="))
+        return NullCheck(p, negated=(op == "!="))
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program | list[Diagnostic]:
     """Parse source text; returns a validated Program or the diagnostics."""
     try:
-        tokens = _tokenize(text, filename)
-        program = _Parser(tokens, filename).program()
+        program = _Parser(text, filename).program()
     except ParseError as exc:
         return [exc.diagnostic]
     diags = validate(program)

@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 import re
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nullgvn.corpus import GeneratorConfig, bundled_sources, generate
 from nullgvn.ir import Assign, Assume, Opaque, Path, Program
-from nullgvn.parse import KEYWORDS, ParseError, _tokenize, parse_program, print_program
+from nullgvn.parse import KEYWORDS, parse_program, print_program
 
 from conftest import mutated_program, parse_ok
 
@@ -114,40 +115,57 @@ def _offset(text: str, line: int, col: int) -> int:
 @settings(max_examples=300, deadline=None)
 @given(text=st.one_of(st.text(), mutated_program()))
 def test_token_positions(text):
-    """Each token's text starts at its own (line, col); end of input sits
-    just past the last character."""
-    try:
-        toks = _tokenize(text, "t.ir")
-    except ParseError:
-        return
-    offsets = [_offset(text, t.line, t.col) for t in toks]
-    assert offsets == sorted(set(offsets))
-    for tok, at in zip(toks, offsets):
-        assert text.startswith(tok.text, at), tok
-    assert toks[-1].kind == "eof" and offsets[-1] == len(text)
+    """A syntax diagnostic sits where the word it names starts, or just past
+    the last character for end of input; one that names no word still sits
+    at the start of a word."""
+    diags = parse_program(text, "t.ir")
+    if not isinstance(diags, list) or not diags[0].file:
+        return  # parsed; validation diagnostics carry no position
+    (diag,) = diags
+    at = _offset(text, diag.line, diag.col)
+    assert 0 <= at <= len(text)
+    named = re.search(r"found '(.*)'$|^'(.*)': identifiers|^unexpected character (.*)$", diag.message)
+    if named is None:
+        assert at == len(text) or not text[at].isspace(), diag
+    elif named[1] == "end of input":
+        assert at == len(text), diag
+    else:
+        word = named[1] or named[2] or ast.literal_eval(named[3])
+        assert text.startswith(word, at), diag
 
 
 @pytest.mark.parametrize(
     "text, expected",
     [
-        ("\tx\t:= y;", [("ident", "x", 1, 2), ("punct", ":=", 1, 4),
-                        ("ident", "y", 1, 7), ("punct", ";", 1, 8), ("eof", "", 1, 9)]),
-        ("a\r\nb\r\n", [("ident", "a", 1, 1), ("ident", "b", 2, 1), ("eof", "", 3, 1)]),
-        ("x // note", [("ident", "x", 1, 1), ("eof", "", 1, 10)]),
-        ("new(12)\n", [("ident", "new", 1, 1), ("punct", "(", 1, 4), ("int", "12", 1, 5),
-                       ("punct", ")", 1, 7), ("eof", "", 2, 1)]),
+        ("\tx\t:= y;", "1:2: error: expected procedure"),
+        ("procedure\r\nf\r\n(\r\n", "4:1: error: expected parameter, found 'end of input'"),
+        ("procedure x // note", "1:20: error: expected '(', found 'end of input'"),
+        (
+            "procedure main() { var x; L1: x := new(12)\n",
+            "2:1: error: expected ';', found 'end of input'",
+        ),
     ],
     ids=["tab", "crlf", "comment-at-end", "end-of-input"],
 )
 def test_token_stream(text, expected):
-    assert [tuple(t) for t in _tokenize(text, "t.ir")] == expected
+    """Tabs and carriage returns are one column each, a comment runs to the
+    end of its line, and end of input sits just past the last character."""
+    assert [str(d) for d in parse_program(text, "t.ir")] == [f"t.ir:{expected}"]
 
 
 @pytest.mark.parametrize("bad", ["²", "½x", "x := 1²"])
 def test_numerals_outside_decimal_rejected(bad):
     """Only decimal digits make an integer, and no numeral starts an identifier."""
-    with pytest.raises(ParseError, match="unexpected character"):
-        _tokenize(bad, "t.ir")
+    numeral = next(c for c in bad if not c.isascii())
+    (diag,) = parse_program(bad, "t.ir")
+    assert str(diag) == f"t.ir:1:{bad.index(numeral) + 1}: error: unexpected character {numeral!r}"
+
+
+def test_bad_character_wins_over_syntax_error():
+    """A bad character anywhere outside a comment is the one diagnostic,
+    even after an earlier syntax error."""
+    (diag,) = parse_program("procedure ;\n// $\n  x := $;", "t.ir")
+    assert str(diag) == "t.ir:3:8: error: unexpected character '$'"
 
 
 GOLDEN_DIAGNOSTICS = FsPath(__file__).parent / "golden_diagnostics.json"

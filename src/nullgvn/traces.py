@@ -17,9 +17,9 @@ two projected roots there, memoized on node pairs.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import eq
+from operator import eq, itemgetter
 
-from .ir import is_tagged, original_name
+from .ir import is_tagged, original_name, postorder
 
 TRUNCATED = ("truncated",)
 
@@ -67,19 +67,25 @@ class Automaton:
 
     def project(self, source: "Automaton", root: int) -> int:
         """The node of the projected language of `source` at `root` (see
-        `project_trace`), in one pass over its nodes in ascending order, so
-        children first: a node's projection unites its flags with, for each
-        edge, the child's projection behind the projected event, or the
-        child's projection alone when the event is dropped."""
+        `project_trace`), in one pass over the nodes `root` reaches, children
+        first: a node's projection unites its flags with, for each edge, the
+        child's projection behind the projected event, or the child's
+        projection alone when the event is dropped."""
         eids = [None if p is None else self.event(p) for p in map(project_event, source.events)]
-        made: list = []  # source node -> projected node
-        for flags, edges in source.nodes[: root + 1]:
+        made: dict = {}  # source node -> projected node
+        for n in postorder(source, [root]):
+            flags, edges = source.nodes[n]
             node = self.node(flags, ())
             for k, child in edges:
                 p, c = eids[k], made[child]
                 node = self.union(node, c if p is None else self.node(0, ((p, c),)))
-            made.append(node)
+            made[n] = node
         return made[root]
+
+    def __getitem__(self, n: int):
+        """The children of node n: an automaton is the successor map that
+        `ir.postorder` walks."""
+        return map(itemgetter(1), self.nodes[n][1])
 
     def word(self, trace, stop, node: int) -> int:
         """The node of the events of `trace` down to `stop` followed by the

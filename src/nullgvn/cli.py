@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path as FsPath
@@ -172,9 +173,8 @@ def _config_from_args(args) -> corpus.GeneratorConfig:
                 )
             values[key] = value
     weights = dict(corpus.DEFAULT_WEIGHTS)
-    changes = {
-        key: flag for key in CONFIG_TYPES if (flag := getattr(args, key, None)) is not None
-    }
+    flags = {key: flag for key in CONFIG_TYPES if (flag := getattr(args, key, None)) is not None}
+    changes = dict(flags)
     try:
         for key, value in values.items():
             if key.startswith("weight_"):
@@ -183,6 +183,19 @@ def _config_from_args(args) -> corpus.GeneratorConfig:
                 changes[key] = CONFIG_TYPES[key](value)
     except ValueError as exc:  # a config value that is not a number
         raise InputError([Diagnostic("error", str(exc), where=args.config)]) from exc
+    problems = [
+        (f"weight_{kind} must be a finite number, at least 0, got {w}", args.config)
+        for kind, w in weights.items() if not (math.isfinite(w) and w >= 0)
+    ]
+    if not problems and not any(w > 0 for w in weights.values()):
+        problems.append(("at least one weight_* must be positive", args.config))
+    problems += [
+        (f"{key} must be between 0 and 1, got {changes[key]}", "" if key in flags else args.config)
+        for key in ("null_check_density", "loop_prob")
+        if key in changes and not 0 <= changes[key] <= 1
+    ]
+    if problems:
+        raise InputError([Diagnostic("error", msg, where=where) for msg, where in problems])
     return dataclasses.replace(corpus.GeneratorConfig(), weights=tuple(weights.items()), **changes)
 
 

@@ -143,6 +143,12 @@ def test_gen_config_file(capsys, tmp_path):
     cfg.write_text("seed=3\nloop_prob=0.5\n", encoding="utf-8")  # the flags win
     assert run(capsys, "gen", "--config", cfg, "--seed", "0", "--loop-prob", "0.15") == (
         0, default, "")
+    cfg.write_text("weight_copy=nan\nloop_prob=1.5\n", encoding="utf-8")
+    code, _, err = run(capsys, "gen", "--config", cfg)
+    assert code == 1
+    assert "weight_copy must be a finite number" in err and "loop_prob must be between" in err
+    code, _, err = run(capsys, "gen", "--null-check-density", "-0.5")
+    assert (code, err) == (1, "error: null_check_density must be between 0 and 1, got -0.5\n")
 
 
 COVERAGE = re.compile(
@@ -313,6 +319,13 @@ def test_missing_corpus_dir(capsys, tmp_path):
         ["gen", "--config", "{unknown_key}"],
         ["gen", "--config", "{no_equals}"],
         ["gen", "--config", "{unknown_weight}"],
+        ["gen", "--config", "{nan_weight}"],
+        ["gen", "--config", "{infinite_weight}"],
+        ["gen", "--config", "{negative_weight}"],
+        ["gen", "--config", "{zero_weights}"],
+        ["gen", "--config", "{density_above_one}"],
+        ["gen", "--null-check-density", "2"],
+        ["gen", "--loop-prob", "nan"],
         ["check-semantics", "{program}", "--depth", "-5"],
         ["analyze", "{program}", "--check-semantics", "--depth", "0"],
         ["transform", "{program}", "-o", "{unwritable}"],
@@ -321,7 +334,9 @@ def test_missing_corpus_dir(capsys, tmp_path):
     ],
     ids=["missing-file", "undecodable-file", "superscript-site-id", "missing-config",
          "bad-config-value", "unknown-config-key", "config-line-without-equals",
-         "unknown-config-weight", "negative-depth", "zero-depth",
+         "unknown-config-weight", "nan-config-weight", "infinite-config-weight",
+         "negative-config-weight", "no-positive-config-weight", "config-density-above-one",
+         "density-flag-above-one", "nan-loop-prob-flag", "negative-depth", "zero-depth",
          "unwritable-transform-output", "unwritable-emit-transformed",
          "unwritable-trace-dump"],
 )
@@ -335,7 +350,11 @@ def test_malformed_input_exit_code(capsys, tmp_path, chained, argv):
              "superscript": superscript,
              "program": chained, "unwritable": tmp_path / "no-such-dir" / "out"}
     configs = {"bad_config": "seed=seven", "unknown_key": "max_proc=9",
-               "no_equals": "seed=3\nmax_procs 9", "unknown_weight": "weight_bogus=1"}
+               "no_equals": "seed=3\nmax_procs 9", "unknown_weight": "weight_bogus=1",
+               "nan_weight": "weight_copy=nan", "infinite_weight": "weight_copy=inf",
+               "negative_weight": "weight_copy=-1",
+               "zero_weights": "\n".join(f"weight_{kind}=0" for kind in corpus.DEFAULT_WEIGHTS),
+               "density_above_one": "null_check_density=2"}
     for key, text in configs.items():
         paths[key] = tmp_path / f"{key}.cfg"
         paths[key].write_text(text + "\n", encoding="utf-8")

@@ -187,8 +187,8 @@ def _config_from_args(args) -> corpus.GeneratorConfig:
         (f"weight_{kind} must be a finite number, at least 0, got {w}", args.config)
         for kind, w in weights.items() if not (math.isfinite(w) and w >= 0)
     ]
-    if not problems and not any(w > 0 for w in weights.values()):
-        problems.append(("at least one weight_* must be positive", args.config))
+    if not problems and not 0 < sum(weights.values()) < math.inf:
+        problems.append(("the weight_* values must have a positive, finite sum", args.config))
     problems += [
         (f"{key} must be between 0 and 1, got {changes[key]}", "" if key in flags else args.config)
         for key in ("null_check_density", "loop_prob")

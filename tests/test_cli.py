@@ -323,6 +323,7 @@ def test_missing_corpus_dir(capsys, tmp_path):
         ["gen", "--config", "{infinite_weight}"],
         ["gen", "--config", "{negative_weight}"],
         ["gen", "--config", "{zero_weights}"],
+        ["gen", "--config", "{overflowing_weights}"],
         ["gen", "--config", "{density_above_one}"],
         ["gen", "--null-check-density", "2"],
         ["gen", "--loop-prob", "nan"],
@@ -335,7 +336,8 @@ def test_missing_corpus_dir(capsys, tmp_path):
     ids=["missing-file", "undecodable-file", "superscript-site-id", "missing-config",
          "bad-config-value", "unknown-config-key", "config-line-without-equals",
          "unknown-config-weight", "nan-config-weight", "infinite-config-weight",
-         "negative-config-weight", "no-positive-config-weight", "config-density-above-one",
+         "negative-config-weight", "no-positive-config-weight",
+         "overflowing-config-weights", "config-density-above-one",
          "density-flag-above-one", "nan-loop-prob-flag", "negative-depth", "zero-depth",
          "unwritable-transform-output", "unwritable-emit-transformed",
          "unwritable-trace-dump"],
@@ -354,6 +356,7 @@ def test_malformed_input_exit_code(capsys, tmp_path, chained, argv):
                "nan_weight": "weight_copy=nan", "infinite_weight": "weight_copy=inf",
                "negative_weight": "weight_copy=-1",
                "zero_weights": "\n".join(f"weight_{kind}=0" for kind in corpus.DEFAULT_WEIGHTS),
+               "overflowing_weights": "weight_copy=1e308\nweight_load=1e308",
                "density_above_one": "null_check_density=2"}
     for key, text in configs.items():
         paths[key] = tmp_path / f"{key}.cfg"

@@ -16,22 +16,29 @@ evaluates to Null at runtime, so every read contributes the Null site to
 its target in addition to the conditional rule.
 
 `generate_constraints` returns the constraint graph, which owns the var
-node ids and the site numbering (Null as bit 0). Var keys are numbered in
-reverse post-order of the copy graph (`_copy_order`, the shared depth-first
-walk `ir.postorder`), and `solve_worklist` pops smallest id first, so a key
-is visited after the keys that copy into it (topological propagation, as in
-Pereira & Berlin's wave propagation, CGO'09). Both solvers read the graph
-and return a `PointsToSolution`, a view over int bitsets in its numbering:
-verdicts and the soundness replay test bits, and sets are built only when a
-caller asks for them. `solve_naive` is the set-based reference; it packs its
-sets with the graph's `site_bit`, so there is no second numbering.
+node ids (keys in first-mention order) and the site numbering (Null as bit
+0). `solve_worklist` solves it in waves (Pereira & Berlin's wave
+propagation, CGO'09): it keeps its own topological order of the graph,
+collapses the cycles that edges added against that order close (after
+Hardekopf & Lin, "The Ant and the Grasshopper", PLDI'07, and Pearce, Kelly
+& Hankin's online cycle detection, SCAM'03), and pushes each node's new
+sites on once per wave. A tag mask clears only Null, so every other site
+passes through a cycle unfiltered: the members of a collapsed cycle share
+their non-Null sites, and Null is a per-node flag that spreads only into
+untagged nodes. Loads and stores reach the (site, field) cells through one
+hub per (field, base bitset), so each distinct bitset walks its sites once.
+Both solvers return a `PointsToSolution`, a view over int bitsets in the
+graph's numbering: verdicts and the soundness replay test bits, and sets
+are built only when a caller asks for them. `solve_naive` is the set-based
+reference; it packs its sets with the graph's `site_bit`, so there is no
+second numbering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import compress
 
 from .ir import (
@@ -46,7 +53,6 @@ from .ir import (
     Store,
     NULL_SITE,
     is_tagged,
-    postorder,
 )
 
 RULES = ("alloc", "null", "copy", "load", "store")
@@ -76,12 +82,15 @@ class Constraints:
 
     @classmethod
     def build(cls, base=(), copies=(), loads=(), stores=(), tagged=()) -> Constraints:
-        """Intern string-keyed constraints: copy-graph keys in reverse
-        post-order (`_copy_order`), then the other keys in the order loads,
-        stores, base and `tagged` first mention them."""
-        ids = {key: n for n, key in enumerate(_copy_order(copies))}
-        mentioned = [k for b, _, x in (*loads, *stores) for k in (b, x)]
-        for key in (*mentioned, *(k for k, _ in base), *tagged):
+        """Intern string-keyed constraints: keys are numbered in the order
+        copies, loads, stores, base and `tagged` first mention them."""
+        ids: dict[str, int] = {}
+        for key in (
+            *(k for edge in copies for k in edge),
+            *(k for b, _, x in (*loads, *stores) for k in (b, x)),
+            *(k for k, _ in base),
+            *tagged,
+        ):
             ids.setdefault(key, len(ids))
         sites = [NULL_SITE, *sorted({site for _, site in base} - {NULL_SITE})]
         return cls(
@@ -289,92 +298,400 @@ def solve_naive(graph: Constraints) -> PointsToSolution:
     return PointsToSolution(graph, pack, {cell: n for n, cell in enumerate(field_pt, len(var_pt))})
 
 
-def _copy_order(copies: list[tuple[str, str]]) -> list[str]:
-    """The keys of the copy graph in reverse post-order: where the graph has
-    no cycle, every key comes after all the keys that copy into it."""
-    succ: dict[str, list[str]] = {}
-    for src, dst in copies:
-        succ.setdefault(src, []).append(dst)
-        succ.setdefault(dst, [])
-    return postorder(succ, succ)[::-1]
-
-
 def solve_worklist(graph: Constraints) -> PointsToSolution:
-    """Constraint-graph solver with difference propagation; same least
-    fixpoint as solve_naive, much faster on long copy chains.
+    """Wave solver: the same least fixpoint as solve_naive.
 
-    The graph owns var node ids and the site -> bit numbering; the solver
-    only interns (site, field) cells, giving each the next free id when a
-    load or store first reaches it. Each node has an admit mask that clears
-    the Null bit on tagged nodes, so the filter runs at every insertion.
-    Each node carries one pending delta and sits on the worklist at most
-    once: it is pushed only when that delta turns non-zero. The worklist is
-    a min-heap over node ids, and var ids follow the copy graph's reverse
-    post-order, so a node whose copy sources are also pending is popped
-    after them and passes on their bits in one visit. Copy edges pass the
-    whole delta with one `|`; only load and store bases walk its sites.
+    Nodes are the graph's var nodes, then cells and hubs. A load hub stands
+    for one (field, base bitset): it reads the cell of every site in the
+    bitset and feeds every load whose base holds exactly that bitset. A
+    store hub likewise writes what its sources hold into those cells. The
+    hub of a one-site bitset is that site's cell. A hub made when a base's
+    bitset grew takes the sites it shares with the base's previous bitset
+    through that bitset's hub. Only stores make cells; a load whose
+    bitset has no cell yet waits until a store makes one. Each wave:
+
+    1. restores the topological order (`order`, over representatives).
+       Every edge added since the last wave that runs backward in it spans
+       a window of the order, and overlapping windows merge. Only the nodes
+       that reach a backward edge's source inside its window are searched
+       (Tarjan, over predecessors). Each cycle found collapses into one
+       representative, and the searched nodes move, in topological order,
+       to the front of the window;
+    2. pushes the non-Null sites each representative gained, once per
+       representative and in topological order; `pops` counts these
+       pushes. A node without successors only collects. Once a
+       representative holding a load or store base has pushed, the base's
+       loads and stores are routed through the hubs of its new bitset,
+       placed next to the load's target or the store's source. An edge
+       added forward carries its sites within the wave; one added
+       backward waits for the next;
+    3. spreads Null as soon as it appears, node by node over copy and hub
+       edges, into untagged nodes only, so the members of one collapsed
+       cycle can differ. A store hub that holds Null marks its sites in its
+       field's Null-cell bitset, which reaches every load hub of that field
+       over one of those sites. A base that gains Null reaches the (Null,
+       field) cell, so it is routed again when the next wave starts.
+
+    The waves stop when no site is pending and no base awaits routing.
     """
     n_vars = len(graph.ids)
-    pts = [0] * n_vars
-    pending = [0] * n_vars
-    mask = [~NULL_BIT if n in graph.tagged else -1 for n in range(n_vars)]
-    succ: list[set[int]] = [set() for _ in range(n_vars)]
+    parent = list(range(n_vars))          # union-find over collapsed cycles
+    bits = [0] * n_vars                   # non-Null sites, per representative
+    pending = [0] * n_vars                # bits not yet pushed on
+    succ: list[set[int] | None] = [set() for _ in range(n_vars)]
+    pred: list[set[int] | None] = [set() for _ in range(n_vars)]
+    null = bytearray(n_vars)              # per node: 1 holds Null, 2 never will
+    for n in graph.tagged:
+        null[n] = 2
+    null_succ: list[list[int]] = [[] for _ in range(n_vars)]
+    order = list(range(n_vars))           # representatives, topologically
+    pos: list[float] = list(range(n_vars))  # index in `order`; index - 0.5 until placed
+    placed: list[tuple[int, int]] = []    # (index, new node): goes before order[index]
+    backward: list[tuple[int, int]] = []  # edges added against the order
+    dirty: list[int] = []                 # representatives with bits pending
+    null_work: list[int] = []             # nodes that gained Null
+    rebase: list[int] = []                # bases that gained Null
     cells: dict[tuple[int, str], int] = {}
+    load_hubs: dict[tuple[str, int], int] = {}
+    store_hubs: dict[tuple[str, int], int] = {}
+    load_hubs_of: dict[str, list[tuple[int, int]]] = {}  # field -> [(bitset, load hub or cell)]
+    store_hub_key: dict[int, tuple[str, int]] = {}        # store hub or cell -> (field, bitset)
+    null_cells: dict[str, int] = {}       # field -> sites whose cell holds Null
+    waiting: dict[str, list[tuple[int, int]]] = {}  # field -> [(bitset, load target)]
+    bit_site, site_bit = graph.sites, graph.site_bit
     loads: dict[int, list[tuple[str, int]]] = {}
     stores: dict[int, list[tuple[str, int]]] = {}
-    work: list[int] = []
-    bit_site = graph.sites
+    for b, fname, dst in graph.loads:
+        loads.setdefault(b, []).append((fname, dst))
+    for b, fname, src in graph.stores:
+        stores.setdefault(b, []).append((fname, src))
+    seen_bits = dict.fromkeys([*loads, *stores], 0)  # base -> bitset routed
+    bases_at = {b: [b] for b in seen_bits}           # representative -> bases
 
-    def cell(site: int, fname: str) -> int:
-        n = cells.get((site, fname))
-        if n is None:
-            n = cells[site, fname] = len(pts)
-            pts.append(0)
-            pending.append(0)
-            mask.append(-1)
-            succ.append(set())
+    def find(n: int) -> int:
+        root = n
+        while parent[root] != root:
+            root = parent[root]
+        while parent[n] != root:
+            parent[n], n = root, parent[n]
+        return root
+
+    def new_node(index: int) -> int:
+        """A new node, to be placed just before order[index]; until then
+        its position sorts it there, after the new nodes already there."""
+        n = len(parent)
+        parent.append(n)
+        bits.append(0)
+        pending.append(0)
+        succ.append(set())
+        pred.append(set())
+        null.append(0)
+        null_succ.append([])
+        pos.append(index - 0.5)
+        placed.append((index, n))
         return n
 
-    def add(n: int, bits: int) -> None:
-        new = bits & mask[n] & ~pts[n]
-        if new:
-            pts[n] |= new
-            if not pending[n]:
-                heappush(work, n)
-            pending[n] |= new
+    def link(u: int, v: int) -> None:
+        """Edge u -> v between the representatives of two nodes."""
+        ru = u if parent[u] == u else find(u)
+        rv = v if parent[v] == v else find(v)
+        if ru != rv and rv not in succ[ru]:
+            succ[ru].add(rv)
+            pred[rv].add(ru)
+            if pos[ru] > pos[rv] or pos[ru] == pos[rv] and ru > rv:
+                backward.append((ru, rv))
+            new = bits[ru] & ~bits[rv]
+            if new:
+                bits[rv] |= new
+                if succ[rv] or rv in bases_at:
+                    if not pending[rv]:
+                        dirty.append(rv)
+                    pending[rv] |= new
 
-    def add_edge(src: int, dst: int) -> None:
-        out = succ[src]
-        if dst not in out:
-            out.add(dst)
-            if pts[src]:
-                add(dst, pts[src])
+    def link_null(u: int, v: int) -> None:
+        """Edge u -> v that also carries Null."""
+        link(u, v)
+        null_succ[u].append(v)
+        if null[u] == 1 and not null[v]:
+            null[v] = 1
+            null_work.append(v)
 
-    for base, fname, dst in graph.loads:
-        loads.setdefault(base, []).append((fname, dst))
-    for base, fname, src in graph.stores:
-        stores.setdefault(base, []).append((fname, src))
+    def add_cells(fname: str, sites: list[int], index: int) -> None:
+        """Cells for the sites a store reaches first, just before
+        order[index]: each joins the load hubs over its site and wakes the
+        loads that waited for a cell of theirs."""
+        readers = load_hubs_of.setdefault(fname, [])
+        woke = 0
+        for site in sites:
+            one = 1 << site_bit[site]
+            woke |= one
+            n = cells[site, fname] = load_hubs[fname, one] = store_hubs[fname, one] = new_node(index)
+            store_hub_key[n] = (fname, one)
+            for hb, h in readers:
+                if hb & one:
+                    link(n, h)
+            readers.append((one, n))
+        asleep = waiting.get(fname, ())
+        if any(hb & woke for hb, _ in asleep):
+            waiting[fname] = [(hb, dst) for hb, dst in asleep if not hb & woke]
+            for hb, dst in asleep:
+                if hb & woke:
+                    link_null(load_hub(fname, hb, 0, dst), dst)
+
+    def load_hub(fname: str, b: int, old: int, dst: int) -> int | None:
+        """The load hub of (field, bitset `b`), placed before `dst`: a cell
+        for one site, else a node that reads the cells of the sites in `b`
+        but not in `old` (a bitset the base held before) and the hub of
+        `old`. None while no store has reached a cell of `b`: the load
+        waits."""
+        h = load_hubs.get((fname, b))
+        if h is not None:
+            return h
+        prior = load_hubs.get((fname, old))
+        reads = [
+            cells[site, fname]
+            for site in _sites(b & ~old if prior is not None else b, bit_site)
+            if (site, fname) in cells
+        ] if fname in load_hubs_of else []
+        if prior is None and not reads:
+            waiting.setdefault(fname, []).append((b, dst))
+            return None
+        h = load_hubs[fname, b] = new_node(pos[find(dst)])
+        load_hubs_of.setdefault(fname, []).append((b, h))
+        if b & null_cells.get(fname, 0):
+            null[h] = 1
+            null_work.append(h)
+        for n in reads + ([prior] if prior is not None else []):
+            link(n, h)
+        return h
+
+    def store_hub(fname: str, b: int, old: int, src: int) -> int:
+        """The store hub of (field, bitset `b`), placed after `src`: a cell
+        for one site, else a node that writes the cells of the sites in
+        `b` but not in `old` and the hub of `old`."""
+        h = store_hubs.get((fname, b))
+        if h is not None:
+            return h
+        index = pos[find(src)] + 1
+        prior = store_hubs.get((fname, old))
+        sites = _sites(b & ~old if prior is not None else b, bit_site)
+        if b & (b - 1):
+            h = store_hubs[fname, b] = new_node(index)
+            store_hub_key[h] = (fname, b)
+        fresh = [site for site in sites if (site, fname) not in cells]
+        if fresh:
+            add_cells(fname, fresh, index)
+        if h is None:
+            return cells[sites[0], fname]
+        for site in sites:
+            link(h, cells[site, fname])
+        if prior is not None:
+            link(h, prior)
+        return h
+
+    def route(b: int, now: int) -> None:
+        """Route the loads and stores of base `b` through the hubs of its
+        new bitset `now`."""
+        old = seen_bits[b]
+        seen_bits[b] = now
+        for fname, dst in loads.get(b, ()):
+            h = load_hub(fname, now, old, dst)
+            if h is not None:
+                link_null(h, dst)
+        for fname, src in stores.get(b, ()):
+            link_null(src, store_hub(fname, now, old, src))
+
+    def settle_null() -> None:
+        """Spread Null on from the nodes that just gained it."""
+        while null_work:
+            n = null_work.pop()
+            if n in seen_bits:
+                rebase.append(n)
+            key = store_hub_key.get(n)
+            if key is not None:
+                fname, b = key
+                new = b & ~null_cells.get(fname, 0)
+                if new:
+                    null_cells[fname] = null_cells.get(fname, 0) | new
+                    for hb, h in load_hubs_of.get(fname, ()):
+                        if hb & new and not null[h]:
+                            null[h] = 1
+                            null_work.append(h)
+            for m in null_succ[n]:
+                if not null[m]:
+                    null[m] = 1
+                    null_work.append(m)
+
+    def collapse(scc: list[int]) -> int:
+        r = max(scc, key=lambda m: len(succ[m]) + len(pred[m]))
+        out, into, union = succ[r], pred[r], 0
+        for m in scc:
+            union |= bits[m]
+            pending[m] = 0
+            if m != r:
+                parent[m] = r
+                out |= succ[m]
+                into |= pred[m]
+                succ[m] = pred[m] = None
+        out.difference_update(scc)
+        into.difference_update(scc)
+        bits[r] = union
+        merged = [b for m in scc for b in bases_at.pop(m, ())]
+        if merged:
+            bases_at[r] = merged
+        if union:
+            pending[r] = union  # members' successors may lack other members' bits
+            dirty.append(r)
+        return r
+
+    def reach_sccs(sources: list[int], lo: int, hi: int) -> list[list[int]]:
+        """Tarjan's SCCs of the representatives that reach `sources`
+        through order indices lo..hi, in topological order."""
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        stack: list[int] = []
+        on_stack: set[int] = set()
+        sccs: list[list[int]] = []
+        for root in sources:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(pred[root]))]
+            while work:
+                n, into = work[-1]
+                for p in into:
+                    if parent[p] != p:
+                        p = find(p)
+                    if p not in index:
+                        if lo <= pos[p] <= hi:
+                            index[p] = low[p] = len(index)
+                            stack.append(p)
+                            on_stack.add(p)
+                            work.append((p, iter(pred[p])))
+                            break
+                    elif p in on_stack and index[p] < low[n]:
+                        low[n] = index[p]
+                else:
+                    work.pop()
+                    if work and low[n] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[n]
+                    if low[n] == index[n]:
+                        scc = []
+                        while scc[-1:] != [n]:
+                            scc.append(stack.pop())
+                            on_stack.discard(scc[-1])
+                        sccs.append(scc)
+        return sccs
+
+    def reorder() -> None:
+        """Place the new nodes, then make every edge run forward in the
+        order, collapsing cycles."""
+        nonlocal order
+        first = len(order)  # the first index whose node changed
+        if placed:
+            placed.sort()
+            first = placed[0][0]
+            spliced, start = order[:first], first
+            for index, n in placed:
+                spliced += order[start:index]
+                spliced.append(n)
+                start = index
+            order = spliced + order[start:]
+            placed.clear()
+            for i in range(first, len(order)):
+                pos[order[i]] = i
+            first = len(order)
+        spans = sorted(
+            (pos[rv], pos[ru], ru)
+            for ru, rv in {(find(u), find(v)) for u, v in backward}
+            if pos[ru] > pos[rv]
+        )
+        backward.clear()
+        windows: list[list] = []  # [lo, hi, sources]
+        for lo, hi, ru in spans:
+            if windows and lo <= windows[-1][1]:
+                w = windows[-1]
+                w[1] = max(w[1], hi)
+                w[2].append(ru)
+            else:
+                windows.append([lo, hi, [ru]])
+        for lo, hi, sources in reversed(windows):  # later windows first: indices shift
+            block = reach_sccs(sources, lo, hi)
+            moved = {m for scc in block for m in scc}
+            order[lo : hi + 1] = [
+                scc[0] if len(scc) == 1 else collapse(scc) for scc in block
+            ] + [n for n in order[lo : hi + 1] if n not in moved]
+            first = lo
+        for i in range(first, len(order)):
+            pos[order[i]] = i
+
     for src, dst in graph.copies:
-        add_edge(src, dst)
+        null_succ[src].append(dst)
+        if src != dst and dst not in succ[src]:
+            succ[src].add(dst)
+            pred[dst].add(src)
+            if src > dst:
+                backward.append((src, dst))
     for n, site in graph.base:
-        add(n, 1 << graph.site_bit[site])
+        if site != NULL_SITE:
+            bits[n] |= 1 << site_bit[site]
+            if succ[n] or n in bases_at:
+                if not pending[n]:
+                    dirty.append(n)
+                pending[n] |= 1 << site_bit[site]
+        elif not null[n]:
+            null[n] = 1
+            null_work.append(n)
+    settle_null()
 
     pops = 0
-    while work:
-        n = heappop(work)
-        pops += 1
-        delta = pending[n]
-        pending[n] = 0
-        if n in loads or n in stores:
-            sites = _sites(delta, bit_site)
-            for fname, dst in loads.get(n, ()):
-                for site in sites:
-                    add_edge(cell(site, fname), dst)
-            for fname, src in stores.get(n, ()):
-                for site in sites:
-                    add_edge(src, cell(site, fname))
-        for dst in succ[n]:
-            add(dst, delta)
+    later: list[int] = []  # bits pending behind the wave's position
+    while dirty or rebase:
+        for b in rebase:
+            now = bits[find(b)] | NULL_BIT
+            if now != seen_bits[b]:
+                route(b, now)
+        rebase.clear()
+        if null_work:
+            settle_null()
+        if backward or placed:
+            reorder()
+        heap = [(pos[r], r) for r in {find(r) for r in dirty} if pending[r]]
+        dirty.clear()
+        heapify(heap)
+        while heap:
+            at, r = heappop(heap)
+            delta = pending[r]
+            pending[r] = 0
+            pops += 1
+            for s in succ[r]:
+                if parent[s] != s:
+                    s = find(s)
+                new = delta & ~bits[s]
+                if new:
+                    bits[s] |= new
+                    if succ[s] or s in bases_at:
+                        if not pending[s]:
+                            heappush(heap, (pos[s], s))
+                        pending[s] |= new
+            if r in bases_at:
+                for b in bases_at[r]:
+                    now = bits[r] | null[b] & NULL_BIT
+                    if now != seen_bits[b]:
+                        route(b, now)
+                if null_work:
+                    settle_null()
+                for x in dirty:
+                    if pos[x] > at or pos[x] == at and x > r:
+                        heappush(heap, (pos[x], x))
+                    else:
+                        later.append(x)
+                dirty.clear()
+        dirty, later = later, dirty
+
+    pts = [bits[r if parent[r] == r else find(r)] | null[r] & NULL_BIT for r in range(len(parent))]
     return PointsToSolution(graph, pts, cells, pops)
 
 

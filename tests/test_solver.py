@@ -18,7 +18,6 @@ from nullgvn.ir import (
     Store,
     NULL_SITE,
     is_tagged,
-    postorder,
 )
 from nullgvn.normalize import lift_loops, to_ssa
 from nullgvn.pipeline import transform_program
@@ -223,6 +222,92 @@ def test_tagged_node_in_null_copy_cycle():
     assert sol.pt_field(1, "f") == {2} and sol.pt("x") == {2}
 
 
+def test_tagged_node_in_store_load_cycle():
+    """A store -> cell -> load cycle through a tagged key: t is stored into
+    a.f, x loads a.f and copies on through y into t. The cycle collapses,
+    yet Null stays per node: x holds its own, y receives it, and the
+    tagged t and the cell t writes hold none."""
+    cons = Constraints.build(
+        base=[("a", 1), ("t", 2), ("x", NULL_SITE)],
+        copies=[("x", "y"), ("y", "t")],
+        loads=[("a", "f", "x")],
+        stores=[("a", "f", "t")],
+        tagged=["t"],
+    )
+    sol = solve_worklist(cons)
+    assert sol == solve_naive(cons)
+    assert sol.pt("x") == sol.pt("y") == {NULL_SITE, 2}
+    assert sol.pt("t") == sol.pt_field(1, "f") == {2}
+
+
+def test_late_null_base_feeds_null_cell_back_into_cycle():
+    """p gains Null only once r.g is routed (r.g := z with z Null, then
+    p := r.g). From then on p.f := s writes s's sites into the (Null, f)
+    cell, which q (Null from the start) loads into y, and y copies back
+    into s: a cycle through the (Null, f) cell that closes waves after the
+    solve began."""
+    cons = Constraints.build(
+        base=[("r", 1), ("z", NULL_SITE), ("s", 3), ("q", NULL_SITE), ("w", 4)],
+        copies=[("y", "s"), ("w", "y")],
+        loads=[("r", "g", "p"), ("q", "f", "y")],
+        stores=[("r", "g", "z"), ("p", "f", "s")],
+    )
+    sol = solve_worklist(cons)
+    assert sol == solve_naive(cons)
+    assert sol.pt("p") == sol.pt_field(1, "g") == {NULL_SITE}
+    assert sol.pt_field(NULL_SITE, "f") == sol.pt("y") == sol.pt("s") == {3, 4}
+
+
+def test_shared_store_hub_writes_every_cell():
+    """v0 holds Null before it gains site 1, so its stores go first to the
+    (Null, h) cell and then to the hub of {Null, 1}, which passes on to the
+    earlier one. v2's first bitset is already {Null, 1}, so its store
+    shares that hub and must reach the (Null, h) cell too."""
+    cons = Constraints.build(
+        base=[("v0", NULL_SITE), ("v3", 1)],
+        copies=[("v3", "v0")],
+        loads=[("v0", "f", "v2")],
+        stores=[("v0", "f", "v0"), ("v0", "h", "v1"), ("v2", "h", "v0")],
+    )
+    sol = solve_worklist(cons)
+    assert sol == solve_naive(cons)
+    assert sol.pt("v2") == sol.pt_field(NULL_SITE, "h") == {NULL_SITE, 1}
+
+
+@st.composite
+def shared_hub_keys(draw):
+    """String-keyed constraint sets where loads and stores share hubs and
+    cycles run through cells: 2-10 var keys with a random tagged subset,
+    1-5 sites plus Null, 3 fields, and up to 8 loads and 8 stores over
+    them."""
+    keys = [f"v{i}" for i in range(draw(st.integers(2, 10)))]
+    sites = [NULL_SITE, *range(1, draw(st.integers(1, 5)) + 1)]
+    key, site = st.sampled_from(keys), st.sampled_from(sites)
+    fname = st.sampled_from(["f", "g", "h"])
+    return dict(
+        base=draw(st.lists(st.tuples(key, site), min_size=1, max_size=12)),
+        copies=draw(st.lists(st.tuples(key, key), max_size=12)),
+        loads=draw(st.lists(st.tuples(key, fname, key), min_size=1, max_size=8)),
+        stores=draw(st.lists(st.tuples(key, fname, key), min_size=1, max_size=8)),
+        tagged=draw(st.lists(key, unique=True)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=shared_hub_keys())
+def test_worklist_matches_naive_shared_hubs(keys):
+    cons = Constraints.build(**keys)
+    assert solve_worklist(cons) == solve_naive(cons)
+
+
+def test_worklist_matches_naive_on_second_ladder_rung():
+    """The 2,599-statement rung of the benchmark ladder, at both levels."""
+    program = generate(GeneratorConfig(seed=1, max_procs=60, max_blocks=40, max_stmts=15))
+    for level in ("ssa", "ssa+gvn"):
+        cons = generate_constraints(transform_program(program, level)[0])
+        assert solve_worklist(cons) == solve_naive(cons), level
+
+
 def test_huge_site_ids_stay_cheap():
     """Site ids are only required to be positive and unique, so they can be
     sparse and huge; the solver's bitsets must not grow with the id."""
@@ -240,38 +325,55 @@ def test_huge_site_ids_stay_cheap():
 
 
 def test_worklist_pops_each_fan_in_node_once():
-    """20 allocated sources copy into one join, which feeds a 51-key copy
-    chain. Sources come before the join and the join before the chain, so
-    every node is popped once; a LIFO worklist walks the chain once per
-    source (1,060 pops). A plain copy chain cannot tell the two apart."""
+    """On a DAG every node with a successor pushes its bits once. 20
+    allocated sources copy into one join, which feeds a 51-key copy chain.
+    The keys are numbered join, chain, sources, so the 20 source edges run
+    backward in the first-mention order until the first wave reorders
+    them; a LIFO worklist would walk the chain once per source (1,060
+    pops). The chain's last key has no successor and never pushes."""
     sources = [f"s{i}" for i in range(20)]
     chain = [f"c{i}" for i in range(51)]
     cons = Constraints.build(
         base=[(s, i + 1) for i, s in enumerate(sources)],
         copies=[*zip(["join", *chain], chain), *((s, "join") for s in sources)],
     )
+    assert list(cons.ids)[:2] == ["join", "c0"] and cons.ids["s0"] == 52
     sol = solve_worklist(cons)
     assert sol == solve_naive(cons)
     assert sol.pt("c50") == set(range(1, 21))
     assert len(sol.pts) == 72
-    assert sol.pops == 72
+    assert sol.pops == 71
 
 
 # -- the interned graph -------------------------------------------------------------
 
 
+def first_mentions(copies, loads, stores, base, tagged):
+    """Keys in the order copies, loads, stores, base and `tagged` first
+    mention them: the numbering of `Constraints.build`."""
+    return [
+        *dict.fromkeys(
+            [
+                *(k for edge in copies for k in edge),
+                *(k for b, _, x in (*loads, *stores) for k in (b, x)),
+                *(k for k, _ in base),
+                *tagged,
+            ]
+        )
+    ]
+
+
 def check_graph(cons):
-    """Node ids are dense and distinct, a copy edge runs from a lower to a
-    higher id unless its endpoints share a copy cycle, and tagged nodes are
-    nodes. Returns the graph's constraints keyed back to names."""
-    assert sorted(cons.ids.values()) == list(range(len(cons.ids)))
-    succ = {n: [] for n in range(len(cons.ids))}
-    for src, dst in cons.copies:
-        succ[src].append(dst)
-    for src, dst in cons.copies:
-        assert src < dst or src in postorder(succ, [dst]), (src, dst)
+    """Node ids are dense and distinct, numbered in first-mention order,
+    and tagged nodes are nodes. Returns the graph's constraints keyed back
+    to names (tagged keys in id order)."""
+    assert list(cons.ids.values()) == list(range(len(cons.ids)))
+    back = keyed(cons)
+    assert list(cons.ids) == first_mentions(
+        back.copies, back.loads, back.stores, back.base, back.tagged
+    )
     assert cons.tagged <= set(range(len(cons.ids)))
-    return keyed(cons)
+    return back
 
 
 @settings(max_examples=300, deadline=None)
@@ -282,13 +384,9 @@ def test_graph_interns_hand_built_keys(keys):
     for kind in ("base", "copies", "loads", "stores"):
         assert getattr(back, kind) == keys[kind], kind
     assert sorted(back.tagged) == sorted(keys["tagged"])
-    # copy-graph keys first, then the rest in order of first mention
-    copied = {k for edge in keys["copies"] for k in edge}
-    order = list(cons.ids)
-    assert set(order[: len(copied)]) == copied
-    mentioned = [k for b, _, x in (*keys["loads"], *keys["stores"]) for k in (b, x)]
-    mentioned += [k for k, _ in keys["base"]] + keys["tagged"]
-    assert order[len(copied) :] == [*dict.fromkeys(k for k in mentioned if k not in copied)]
+    assert list(cons.ids) == first_mentions(
+        keys["copies"], keys["loads"], keys["stores"], keys["base"], keys["tagged"]
+    )
 
 
 def test_graph_interns_corpus(bundled):
@@ -303,11 +401,12 @@ def test_first_ladder_rung_counts():
     """The smallest rung of the benchmark ladder (555 statements), read
     through the attributes the benchmark reads: constraints per kind,
     worklist pops, non-empty points-to sets, their summed sizes, and the
-    UNPROVED count."""
+    UNPROVED count. Pops count the wave solver's pushes (one per
+    representative node per wave)."""
     program = generate(GeneratorConfig(seed=1, max_procs=20, max_blocks=20, max_stmts=10))
     expected = {
-        "ssa": ((211, 182, 145, 22), 467, 298, 4_651, 113),
-        "ssa+gvn": ((204, 590, 138, 22), 1_371, 682, 11_625, 26),
+        "ssa": ((211, 182, 145, 22), 105, 298, 4_651, 113),
+        "ssa+gvn": ((204, 590, 138, 22), 404, 682, 11_625, 26),
     }
     for level, want in expected.items():
         out, _ = transform_program(program, level)

@@ -523,6 +523,8 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
                     null_work.append(m)
 
     def collapse(scc: list[int]) -> int:
+        """Merge a cycle into its best-connected member, so that the
+        fewest edge sets move; returns that representative."""
         r = max(scc, key=lambda m: len(succ[m]) + len(pred[m]))
         out, into, union = succ[r], pred[r], 0
         for m in scc:

@@ -605,10 +605,8 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
             for i in range(first, len(order)):
                 pos[order[i]] = i
             first = len(order)
-        spans = sorted(
-            (pos[rv], pos[ru], ru)
-            for ru, rv in {(find(u), find(v)) for u, v in backward}
-            if pos[ru] > pos[rv]
+        spans = sorted(  # `backward` holds representatives: only reorder merges nodes
+            (pos[rv], pos[ru], ru) for ru, rv in set(backward) if pos[ru] > pos[rv]
         )
         backward.clear()
         windows: list[list] = []  # [lo, hi, sources]

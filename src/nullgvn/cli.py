@@ -194,6 +194,11 @@ def _config_from_args(args) -> corpus.GeneratorConfig:
         for key in ("null_check_density", "loop_prob")
         if key in changes and not 0 <= changes[key] <= 1
     ]
+    problems += [
+        (f"{key} must be at least {least}, got {changes[key]}", args.config)
+        for key, least in (("max_procs", 1), ("max_blocks", 1), ("max_stmts", 0))
+        if key in changes and changes[key] < least
+    ]
     if problems:
         raise InputError([Diagnostic("error", msg, where=where) for msg, where in problems])
     return dataclasses.replace(corpus.GeneratorConfig(), weights=tuple(weights.items()), **changes)

@@ -13,7 +13,9 @@ the field tables and each tagged variable's expression are per procedure.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import NamedTuple
 
 from . import normalize
@@ -82,10 +84,14 @@ class _Facts(NamedTuple):
 def _number(proc: Procedure, globals_: set[str], terms, namer, recording) -> None:
     """Number one procedure's expressions and substitute tagged variables.
 
-    Blocks are visited in topological order. A block starts from the facts
-    its predecessors agree on, and each non-null term a predecessor's tagged
-    variable carries is materialized again by a fresh tagged assignment at
-    the top of the block, if its expression still numbers the same there.
+    Blocks are visited in topological order; fresh terms, tagged names and
+    the field-table kills all follow that order. A block starts from the
+    facts its predecessors agree on: a copy of its one predecessor's, or the
+    intersection of their (variable, term) pairs and non-null terms. Each
+    non-null term that a predecessor's tagged variable carries is then
+    materialized again by a fresh tagged assignment at the top of the
+    block, in term order, if its expression still numbers the same there.
+    A statement in which nothing was substituted is kept as it is.
     Terms are opaque integers from `terms`: equal terms mean equal runtime
     values. With `recording`, each statement's (path, term) pairs are
     stored under (procedure, block, statement index).
@@ -103,18 +109,18 @@ def _number(proc: Procedure, globals_: set[str], terms, namer, recording) -> Non
         term = here.values.get(path.base)
         if term is None:
             term = here.values[path.base] = next(terms)
-        chain = [term]
-        for f in path.fields:
+        carrier, at = here.tagged.get(term), 0
+        for k, f in enumerate(path.fields, 1):
             table = fields.setdefault(f, {})
             nxt = table.get(term)
             if nxt is None:
                 nxt = table[term] = next(terms)
             term = nxt
-            chain.append(term)
-        for k in reversed(range(len(chain))):
-            if chain[k] in here.tagged:
-                return Path(here.tagged[chain[k]], path.fields[k:]), term
-        return path, term
+            if term in here.tagged:
+                carrier, at = here.tagged[term], k
+        if carrier is None:
+            return path, term
+        return Path(carrier, path.fields[at:]), term
 
     order = normalize.topo_sort(proc)
     index = {label: i for i, label in enumerate(order)}
@@ -123,23 +129,27 @@ def _number(proc: Procedure, globals_: set[str], terms, namer, recording) -> Non
     for label in order:
         block = block_map[label]
         ins = [facts[p] for p in sorted(preds[label], key=index.get)]
-        if ins:
-            values = {
-                v: t for v, t in ins[0].values.items()
-                if all(f.values.get(v) == t for f in ins[1:])
-            }
+        if len(ins) > 1:
+            values = dict(functools.reduce(operator.and_, (f.values.items() for f in ins)))
             here = _Facts(values, set.intersection(*(f.non_null for f in ins)), {})
+        elif ins:
+            here = _Facts(ins[0].values.copy(), ins[0].non_null.copy(), {})
         else:
             here = _Facts({}, set(), {})
         facts[label] = here
         prefix = []
-        for term in sorted(here.non_null):
-            donor = next((f.tagged[term] for f in ins if term in f.tagged), None)
+        # Only a non-null term some predecessor's tagged variable carries
+        # has an expression to re-materialize; the first predecessor's wins.
+        carriers: dict[int, str] = {}
+        for f in reversed(ins):
+            carriers.update(f.tagged)
+        for term in sorted(here.non_null.intersection(carriers)):
+            donor = carriers[term]
             # A store or call since the donor's assignment may have changed
             # what its expression evaluates to; re-evaluating it here would
             # then bind the tagged variable to a different (possibly Null)
             # value, so only an expression that still numbers the same is used.
-            if donor is not None and read(exprs[donor], here)[1] == term:
+            if read(exprs[donor], here)[1] == term:
                 tag = make_tagged(next(namer))
                 proc.locals.append(tag)
                 prefix.append(Assign(tag, exprs[donor]))
@@ -157,10 +167,12 @@ def _number(proc: Procedure, globals_: set[str], terms, namer, recording) -> Non
                     here.non_null.add(term)
                     here.tagged[term] = stmt.lhs
                     exprs.setdefault(stmt.lhs, stmt.rhs)
-                stmt = Assign(stmt.lhs, rhs)
+                if rhs is not stmt.rhs:
+                    stmt = Assign(stmt.lhs, rhs)
             elif isinstance(stmt, (Assume, Assert)) and isinstance(stmt.cond, NullCheck):
                 used = [read(stmt.cond.path, here)]
-                stmt = type(stmt)(NullCheck(used[0][0], stmt.cond.negated))
+                if used[0][0] is not stmt.cond.path:
+                    stmt = type(stmt)(NullCheck(used[0][0], stmt.cond.negated))
             elif isinstance(stmt, (Alloc, AssignNull)):
                 here.values[stmt.lhs] = next(terms)
             elif isinstance(stmt, Store):
@@ -169,14 +181,17 @@ def _number(proc: Procedure, globals_: set[str], terms, namer, recording) -> Non
                 # The store may alias any object reaching this field: every
                 # term built through it is stale from here on.
                 fields.pop(stmt.field, None)
-                stmt = Store(base.base, stmt.field, src.base)
+                if (base.base, src.base) != (stmt.base, stmt.src):
+                    stmt = Store(base.base, stmt.field, src.base)
             elif isinstance(stmt, Call):
                 used = [read(Path(a), here) for a in stmt.args]
                 # The callee may store to any field and reassign any global.
                 fields.clear()
                 for v in (*stmt.outs, *globals_):
                     here.values.pop(v, None)
-                stmt = Call(stmt.outs, stmt.callee, tuple(p.base for p, _ in used))
+                args = tuple(p.base for p, _ in used)
+                if args != stmt.args:
+                    stmt = Call(stmt.outs, stmt.callee, args)
             if recording is not None and used:
                 recording[(proc.name, label, i)] = used
             out.append(stmt)

@@ -325,6 +325,9 @@ def test_missing_corpus_dir(capsys, tmp_path):
         ["gen", "--config", "{zero_weights}"],
         ["gen", "--config", "{overflowing_weights}"],
         ["gen", "--config", "{density_above_one}"],
+        ["gen", "--config", "{negative_procs}"],
+        ["gen", "--config", "{zero_blocks}"],
+        ["gen", "--config", "{negative_stmts}"],
         ["gen", "--null-check-density", "2"],
         ["gen", "--loop-prob", "nan"],
         ["check-semantics", "{program}", "--depth", "-5"],
@@ -338,6 +341,7 @@ def test_missing_corpus_dir(capsys, tmp_path):
          "unknown-config-weight", "nan-config-weight", "infinite-config-weight",
          "negative-config-weight", "no-positive-config-weight",
          "overflowing-config-weights", "config-density-above-one",
+         "negative-config-procs", "zero-config-blocks", "negative-config-stmts",
          "density-flag-above-one", "nan-loop-prob-flag", "negative-depth", "zero-depth",
          "unwritable-transform-output", "unwritable-emit-transformed",
          "unwritable-trace-dump"],
@@ -357,7 +361,9 @@ def test_malformed_input_exit_code(capsys, tmp_path, chained, argv):
                "negative_weight": "weight_copy=-1",
                "zero_weights": "\n".join(f"weight_{kind}=0" for kind in corpus.DEFAULT_WEIGHTS),
                "overflowing_weights": "weight_copy=1e308\nweight_load=1e308",
-               "density_above_one": "null_check_density=2"}
+               "density_above_one": "null_check_density=2",
+               "negative_procs": "max_procs=-3", "zero_blocks": "max_blocks=0",
+               "negative_stmts": "max_stmts=-2"}
     for key, text in configs.items():
         paths[key] = tmp_path / f"{key}.cfg"
         paths[key].write_text(text + "\n", encoding="utf-8")

@@ -167,6 +167,67 @@ def test_merge_requires_fact_on_all_arms(bundled):
     assert l1.stmts[0].cond == NullCheck(Path("x"), True)
 
 
+# One join, LD, with three predecessors. Topological order breaks ties by
+# declaration order, so LB comes first although the goto names LC first.
+THREE_WAY_JOIN = """
+procedure main() {
+  var x; var y; var z; var u; var v; var w; var a; var b; var c; var d;
+  L0: x := new(1); y := new(2); z := new(3); goto LC, LA, LB;
+  LB: u := x; v := y; w := y; assume (u.f != Null); assume (z != Null); goto LD;
+  LA: u := x; v := y; w := y; assume (x.f != Null); goto LD;
+  LC: u := x; v := z; assume (x.f != Null); goto LD;
+  LD: a := u; b := v; c := w; d := z; return;
+}
+"""
+
+
+def three_way_join():
+    """The transformed blocks by label, and each block's recorded (path,
+    term) pairs in statement order."""
+    out, recording = do_gvn(parse_ok(THREE_WAY_JOIN), instrument=True)
+    used: dict[str, list] = {}
+    for (_, label, _), records in sorted(recording.items()):
+        used.setdefault(label, []).extend(records)
+    return out.procedures[0].block_map(), used
+
+
+def test_join_keeps_only_variables_every_arm_agrees_on():
+    _, used = three_way_join()
+    at_join = {str(path): term for path, term in used["LD"]}
+    in_arms = {term for label in ("LA", "LB", "LC") for _, term in used[label]}
+    x_term = {str(p): t for p, t in used["LB"]}["x"]
+    assert at_join["u"] == x_term                 # u := x on every arm
+    assert at_join["z"] in in_arms                # z is never reassigned
+    assert at_join["v"] not in in_arms            # y on two arms, z on the third
+    assert at_join["w"] not in in_arms            # y on two arms, unset on LC
+
+
+def test_join_skips_a_tag_only_one_arm_carries():
+    blocks, _ = three_way_join()
+    # z is checked on LB alone, so it is not known non-null at LD
+    assert Assign("d", Path("z")) in blocks["LD"].stmts
+    assert all(
+        s.rhs != Path("z")
+        for s in blocks["LD"].stmts
+        if isinstance(s, Assign) and is_tagged(s.lhs)
+    )
+
+
+def test_join_rematerializes_a_tag_every_arm_carries_once():
+    blocks, _ = three_way_join()
+    tags = [s for s in blocks["LD"].stmts if isinstance(s, Assign) and is_tagged(s.lhs)]
+    # u.f and x.f number the same on every arm; LB's expression is used
+    assert len(tags) == 1 and blocks["LD"].stmts[0] == tags[0]
+    assert tags[0].rhs == Path("u", ("f",))
+    arm_tags = {
+        s.lhs
+        for label in ("LA", "LB", "LC")
+        for s in blocks[label].stmts
+        if isinstance(s, Assign) and is_tagged(s.lhs)
+    }
+    assert tags[0].lhs not in arm_tags
+
+
 def test_entry_block_starts_empty():
     program = parse_ok(
         """

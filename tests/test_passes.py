@@ -79,18 +79,24 @@ def test_pass_leaves_input_alone(inputs, pass_name):
 GOLDEN_LISTINGS = FsPath(__file__).parent / "golden_listings.json"
 
 
-def transformed_listings() -> dict[str, dict[str, str]]:
-    """name -> {level: sha256 of the listing} at `ssa` and `ssa+gvn`, for the
-    bundled programs and 200 generated ones (seeds 0-99 with the default
-    generator, `default-N`, and with more blocks and loops, `loops-N`)."""
+def pinned_programs() -> dict:
+    """The bundled programs and 200 generated ones (seeds 0-99 with the
+    default generator, `default-N`, and with more blocks and loops,
+    `loops-N`)."""
     programs = dict(bundled_programs())
     for seed in range(100):
         programs[f"default-{seed}"] = generate(GeneratorConfig(seed=seed))
         programs[f"loops-{seed}"] = generate(
             GeneratorConfig(seed=seed, max_blocks=8, loop_prob=0.4)
         )
+    return programs
+
+
+def transformed_listings() -> dict[str, dict[str, str]]:
+    """name -> {level: sha256 of the listing} at `ssa` and `ssa+gvn`, for
+    `pinned_programs()`."""
     out = {}
-    for name, program in sorted(programs.items()):
+    for name, program in sorted(pinned_programs().items()):
         ssa = to_ssa(lift_loops(program))
         out[name] = {
             level: hashlib.sha256(print_program(p).encode("utf-8")).hexdigest()
@@ -103,6 +109,32 @@ def test_transformed_listings_pinned():
     golden = json.loads(GOLDEN_LISTINGS.read_text(encoding="utf-8"))
     assert len(golden) == 223
     assert transformed_listings() == golden
+
+
+GOLDEN_RECORDINGS = FsPath(__file__).parent / "golden_recordings.json"
+
+
+def gvn_recordings() -> dict[str, str]:
+    """name -> sha256 of `repr(sorted(recording.items()))`, the recording of
+    `do_gvn(ssa, instrument=True)`: every (path, term) pair it relied on.
+    Over `pinned_programs()` and five with many joins (`joins-N`)."""
+    programs = pinned_programs()
+    for seed in range(5):
+        programs[f"joins-{seed}"] = generate(
+            GeneratorConfig(seed=seed, max_procs=10, max_blocks=30)
+        )
+    out = {}
+    for name, program in sorted(programs.items()):
+        _, recording = do_gvn(to_ssa(lift_loops(program)), instrument=True)
+        text = repr(sorted(recording.items()))
+        out[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return out
+
+
+def test_gvn_recordings_pinned():
+    golden = json.loads(GOLDEN_RECORDINGS.read_text(encoding="utf-8"))
+    assert len(golden) == 228
+    assert gvn_recordings() == golden
 
 
 # Source text may declare names of the generated shapes (`ir.is_reserved_name`).

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts, so a stale library call shows up."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,4 @@ def test_precision_experiment_script():
     assert "profile defensive (density=0.85, n=3):" in out
     assert "profile no-checks (density=0.0, n=3):" in out
     assert out.count("per-program regressions : 0") == 2
+    assert len(re.findall(r"SSA\+transform / SSA time: \d+\.\d\dx", out)) == 2

@@ -53,11 +53,13 @@ def _harvest(cond) -> Path | None:
     return None
 
 
-def insert_tagged_assignments(program: Program) -> Program:
+def insert_tagged_assignments(program: Program, namer=None) -> Program:
     """After each non-null assume/assert, assign the checked expression to a
-    fresh tagged variable. Returns a new program; nothing else changes."""
+    fresh tagged variable, numbered by `namer` (by default from one past
+    every declared tag). Returns a new program; nothing else changes."""
     prog = program.clone()
-    counter = itertools.count(_next_tag_index(prog))
+    if namer is None:
+        namer = itertools.count(_next_tag_index(prog))
     for proc in prog.procedures:
         for block in proc.blocks:
             out = []
@@ -66,7 +68,7 @@ def insert_tagged_assignments(program: Program) -> Program:
                 if isinstance(stmt, (Assume, Assert)):
                     expr = _harvest(stmt.cond)
                     if expr is not None:
-                        tag = make_tagged(next(counter))
+                        tag = make_tagged(next(namer))
                         out.append(Assign(tag, expr))
                         proc.locals.append(tag)
             block.stmts = out
@@ -206,8 +208,8 @@ def do_gvn(program: Program, instrument: bool = False):
     terms the pass relied on; the interpreter can replay them to confirm
     that equal terms held equal values.
     """
-    prog = insert_tagged_assignments(program)
-    namer = itertools.count(_next_tag_index(prog))
+    namer = itertools.count(_next_tag_index(program))
+    prog = insert_tagged_assignments(program, namer)
     terms = itertools.count(1)
     recording: dict | None = {} if instrument else None
     globals_ = set(prog.globals)

@@ -200,8 +200,10 @@ class PointsToSolution:
 
     `pts[n]` is node n's points-to set over the graph's site numbering: var
     nodes are the graph's, and `cells` maps each (site, field) to its node.
-    Verdicts and the soundness replay test bits directly; `materialized`
-    builds every set once, for `var_pt`, `field_pt` and `==`. `pops` counts
+    `cells` may hold empty cells (the wave solver makes a load's cells
+    before any store reaches them); `materialized` omits them. Verdicts
+    and the soundness replay test bits directly; `materialized` builds
+    every set once, for `var_pt`, `field_pt` and `==`. `pops` counts
     worklist pops (0 for the naive solver).
     """
 
@@ -305,10 +307,11 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
     for one (field, base bitset): it reads the cell of every site in the
     bitset and feeds every load whose base holds exactly that bitset. A
     store hub likewise writes what its sources hold into those cells. The
-    hub of a one-site bitset is that site's cell. A hub made when a base's
-    bitset grew takes the sites it shares with the base's previous bitset
-    through that bitset's hub. Only stores make cells; a load whose
-    bitset has no cell yet waits until a store makes one. Each wave:
+    hub of a one-site bitset is that site's cell, and a hub makes any cell
+    of its sites that is missing. A hub made when a base's bitset grew
+    takes the sites it shares with the base's previous bitset through that
+    bitset's hub. Every edge is one kind: it carries non-Null sites between
+    representatives and Null between nodes. Each wave:
 
     1. restores the topological order (`order`, over representatives).
        Every edge added since the last wave that runs backward in it spans
@@ -325,12 +328,10 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
        placed next to the load's target or the store's source. An edge
        added forward carries its sites within the wave; one added
        backward waits for the next;
-    3. spreads Null as soon as it appears, node by node over copy and hub
-       edges, into untagged nodes only, so the members of one collapsed
-       cycle can differ. A store hub that holds Null marks its sites in its
-       field's Null-cell bitset, which reaches every load hub of that field
-       over one of those sites. A base that gains Null reaches the (Null,
-       field) cell, so it is routed again when the next wave starts.
+    3. spreads Null as soon as it appears, node by node over every edge,
+       into untagged nodes only, so the members of one collapsed cycle can
+       differ. A base that gains Null reaches the (Null, field) cell, so it
+       is routed again when the next wave starts.
 
     The waves stop when no site is pending and no base awaits routing.
     """
@@ -354,10 +355,6 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
     cells: dict[tuple[int, str], int] = {}
     load_hubs: dict[tuple[str, int], int] = {}
     store_hubs: dict[tuple[str, int], int] = {}
-    load_hubs_of: dict[str, list[tuple[int, int]]] = {}  # field -> [(bitset, load hub or cell)]
-    store_hub_key: dict[int, tuple[str, int]] = {}        # store hub or cell -> (field, bitset)
-    null_cells: dict[str, int] = {}       # field -> sites whose cell holds Null
-    waiting: dict[str, list[tuple[int, int]]] = {}  # field -> [(bitset, load target)]
     bit_site, site_bit = graph.sites, graph.site_bit
     loads: dict[int, list[tuple[str, int]]] = {}
     stores: dict[int, list[tuple[str, int]]] = {}
@@ -392,7 +389,12 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         return n
 
     def link(u: int, v: int) -> None:
-        """Edge u -> v between the representatives of two nodes."""
+        """Edge u -> v between the representatives of two nodes. Null
+        crosses it from node u to node v unless v is tagged."""
+        null_succ[u].append(v)
+        if null[u] == 1 and not null[v]:
+            null[v] = 1
+            null_work.append(v)
         ru = u if parent[u] == u else find(u)
         rv = v if parent[v] == v else find(v)
         if ru != rv and rv not in succ[ru]:
@@ -408,61 +410,33 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
                         dirty.append(rv)
                     pending[rv] |= new
 
-    def link_null(u: int, v: int) -> None:
-        """Edge u -> v that also carries Null."""
-        link(u, v)
-        null_succ[u].append(v)
-        if null[u] == 1 and not null[v]:
-            null[v] = 1
-            null_work.append(v)
-
     def add_cells(fname: str, sites: list[int], index: int) -> None:
-        """Cells for the sites a store reaches first, just before
-        order[index]: each joins the load hubs over its site and wakes the
-        loads that waited for a cell of theirs."""
-        readers = load_hubs_of.setdefault(fname, [])
-        woke = 0
+        """Cells for those of `sites` that have none, just before
+        order[index]. A cell is also the load and store hub of its site."""
         for site in sites:
-            one = 1 << site_bit[site]
-            woke |= one
-            n = cells[site, fname] = load_hubs[fname, one] = store_hubs[fname, one] = new_node(index)
-            store_hub_key[n] = (fname, one)
-            for hb, h in readers:
-                if hb & one:
-                    link(n, h)
-            readers.append((one, n))
-        asleep = waiting.get(fname, ())
-        if any(hb & woke for hb, _ in asleep):
-            waiting[fname] = [(hb, dst) for hb, dst in asleep if not hb & woke]
-            for hb, dst in asleep:
-                if hb & woke:
-                    link_null(load_hub(fname, hb, 0, dst), dst)
+            if (site, fname) not in cells:
+                one = 1 << site_bit[site]
+                cells[site, fname] = load_hubs[fname, one] = store_hubs[fname, one] = new_node(index)
 
-    def load_hub(fname: str, b: int, old: int, dst: int) -> int | None:
+    def load_hub(fname: str, b: int, old: int, dst: int) -> int:
         """The load hub of (field, bitset `b`), placed before `dst`: a cell
         for one site, else a node that reads the cells of the sites in `b`
         but not in `old` (a bitset the base held before) and the hub of
-        `old`. None while no store has reached a cell of `b`: the load
-        waits."""
+        `old`."""
         h = load_hubs.get((fname, b))
         if h is not None:
             return h
+        index = pos[find(dst)]
         prior = load_hubs.get((fname, old))
-        reads = [
-            cells[site, fname]
-            for site in _sites(b & ~old if prior is not None else b, bit_site)
-            if (site, fname) in cells
-        ] if fname in load_hubs_of else []
-        if prior is None and not reads:
-            waiting.setdefault(fname, []).append((b, dst))
-            return None
-        h = load_hubs[fname, b] = new_node(pos[find(dst)])
-        load_hubs_of.setdefault(fname, []).append((b, h))
-        if b & null_cells.get(fname, 0):
-            null[h] = 1
-            null_work.append(h)
-        for n in reads + ([prior] if prior is not None else []):
-            link(n, h)
+        sites = _sites(b & ~old if prior is not None else b, bit_site)
+        add_cells(fname, sites, index)
+        if not b & (b - 1):
+            return cells[sites[0], fname]
+        h = load_hubs[fname, b] = new_node(index)
+        for site in sites:
+            link(cells[site, fname], h)
+        if prior is not None:
+            link(prior, h)
         return h
 
     def store_hub(fname: str, b: int, old: int, src: int) -> int:
@@ -477,10 +451,7 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         sites = _sites(b & ~old if prior is not None else b, bit_site)
         if b & (b - 1):
             h = store_hubs[fname, b] = new_node(index)
-            store_hub_key[h] = (fname, b)
-        fresh = [site for site in sites if (site, fname) not in cells]
-        if fresh:
-            add_cells(fname, fresh, index)
+        add_cells(fname, sites, index)
         if h is None:
             return cells[sites[0], fname]
         for site in sites:
@@ -495,11 +466,9 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         old = seen_bits[b]
         seen_bits[b] = now
         for fname, dst in loads.get(b, ()):
-            h = load_hub(fname, now, old, dst)
-            if h is not None:
-                link_null(h, dst)
+            link(load_hub(fname, now, old, dst), dst)
         for fname, src in stores.get(b, ()):
-            link_null(src, store_hub(fname, now, old, src))
+            link(src, store_hub(fname, now, old, src))
 
     def settle_null() -> None:
         """Spread Null on from the nodes that just gained it."""
@@ -507,16 +476,6 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
             n = null_work.pop()
             if n in seen_bits:
                 rebase.append(n)
-            key = store_hub_key.get(n)
-            if key is not None:
-                fname, b = key
-                new = b & ~null_cells.get(fname, 0)
-                if new:
-                    null_cells[fname] = null_cells.get(fname, 0) | new
-                    for hb, h in load_hubs_of.get(fname, ()):
-                        if hb & new and not null[h]:
-                            null[h] = 1
-                            null_work.append(h)
             for m in null_succ[n]:
                 if not null[m]:
                     null[m] = 1
@@ -628,12 +587,7 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
             pos[order[i]] = i
 
     for src, dst in graph.copies:
-        null_succ[src].append(dst)
-        if src != dst and dst not in succ[src]:
-            succ[src].add(dst)
-            pred[dst].add(src)
-            if src > dst:
-                backward.append((src, dst))
+        link(src, dst)
     for n, site in graph.base:
         if site != NULL_SITE:
             bits[n] |= 1 << site_bit[site]

@@ -274,6 +274,36 @@ def test_shared_store_hub_writes_every_cell():
     assert sol.pt("v2") == sol.pt_field(NULL_SITE, "h") == {NULL_SITE, 1}
 
 
+def test_null_cell_reaches_load_through_multi_site_hub():
+    """q.f := z stores Null and site 3 into the (1, f) cell. p holds {1, 2}
+    from the start, so x := p.f reads that cell only through the load hub
+    of {1, 2}: the hub must pass on the cell's Null as well as its sites."""
+    cons = Constraints.build(
+        base=[("p", 1), ("p", 2), ("q", 1), ("z", NULL_SITE), ("y", 3)],
+        loads=[("p", "f", "x")],
+        stores=[("q", "f", "z"), ("q", "f", "y")],
+    )
+    sol = solve_worklist(cons)
+    assert sol == solve_naive(cons)
+    assert sol.pt_field(1, "f") == sol.pt("x") == {NULL_SITE, 3}
+
+
+def test_grown_load_hub_passes_prior_sites_to_shared_load():
+    """r.f := z writes {Null, 1} into the (1, f) cell. p holds {1}, so
+    p := p.f first reads that cell alone; then p grows to {Null, 1}, and
+    the hub of {Null, 1} reads the (Null, f) cell plus the (1, f) cell
+    through the prior hub. q := r.f gains {Null, 1} at once, so x := q.f
+    shares that hub and sees the (1, f) cell only through the prior link."""
+    cons = Constraints.build(
+        base=[("z", NULL_SITE), ("z", 1), ("r", 1), ("p", 1)],
+        loads=[("p", "f", "p"), ("r", "f", "q"), ("q", "f", "x")],
+        stores=[("r", "f", "z")],
+    )
+    sol = solve_worklist(cons)
+    assert sol == solve_naive(cons)
+    assert sol.pt("p") == sol.pt("q") == sol.pt("x") == {NULL_SITE, 1}
+
+
 @st.composite
 def shared_hub_keys(draw):
     """String-keyed constraint sets where loads and stores share hubs and

@@ -527,15 +527,12 @@ _VIOLATION_CAP = 100
 
 
 def check_solution_soundness(
-    program: Program,
-    solution: PointsToSolution,
-    depth_bound: int,
-    max_traces: int = DEFAULT_TRACE_CAP,
+    program: Program, solution: PointsToSolution, depth_bound: int
 ) -> list[tuple]:
     """Replay the program and flag every state the points-to solution fails
     to over-approximate, each kind of miss once. Empty result = no
     unsoundness observed."""
-    engine = _Engine(program, depth_bound, max_traces)
+    engine = _Engine(program, depth_bound, DEFAULT_TRACE_CAP)
     violations: list[tuple] = []
     seen: set = set()
 
@@ -572,17 +569,12 @@ def check_solution_soundness(
     return violations
 
 
-def check_term_consistency(
-    program: Program,
-    recording: dict,
-    depth_bound: int,
-    max_traces: int = DEFAULT_TRACE_CAP,
-) -> list[tuple]:
+def check_term_consistency(program: Program, recording: dict, depth_bound: int) -> list[tuple]:
     """Replay a transformed program and verify that every two expression
     occurrences that received the same term hold the same value on each
     explored path. `recording` comes from do_gvn(instrument=True). A
     configuration reached on several paths is checked, and reported, once."""
-    engine = _Engine(program, depth_bound, max_traces)
+    engine = _Engine(program, depth_bound, DEFAULT_TRACE_CAP)
     violations: list[tuple] = []
 
     def before_stmt(loc, st):

@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import compress, islice
 
 from .ir import (
     Alloc,
@@ -311,29 +310,28 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
     of its sites that is missing. A hub made when a base's bitset grew
     takes the sites it shares with the base's previous bitset through that
     bitset's hub. Every edge is one kind: it carries non-Null sites between
-    representatives and Null between nodes. Each wave:
+    representatives and Null between nodes. Null spreads node by node over
+    every edge, into untagged nodes only, so the members of one collapsed
+    cycle can differ. Each wave:
 
-    1. restores the topological order (`order`, over representatives).
+    1. settles Null, then routes the loads and stores of every base whose
+       bitset (its representative's sites, and Null if the base holds it)
+       changed since it was last routed, through the hubs of the new
+       bitset, placed next to the load's target or the store's source.
+       After the copy edges, these are the only edges added;
+    2. restores the topological order (`order`, over representatives).
        Every edge added since the last wave that runs backward in it spans
        a window of the order, and overlapping windows merge. Only the nodes
        that reach a backward edge's source inside its window are searched
        (Tarjan, over predecessors). Each cycle found collapses into one
        representative, and the searched nodes move, in topological order,
        to the front of the window;
-    2. pushes the non-Null sites each representative gained, once per
-       representative and in topological order; `pops` counts these
-       pushes. A node without successors only collects. Once a
-       representative holding a load or store base has pushed, the base's
-       loads and stores are routed through the hubs of its new bitset,
-       placed next to the load's target or the store's source. An edge
-       added forward carries its sites within the wave; one added
-       backward waits for the next;
-    3. spreads Null as soon as it appears, node by node over every edge,
-       into untagged nodes only, so the members of one collapsed cycle can
-       differ. A base that gains Null reaches the (Null, field) cell, so it
-       is routed again when the next wave starts.
+    3. sweeps the order once, from the lowest representative with sites
+       pending, pushing each representative's new non-Null sites on to its
+       successors; `pops` counts these pushes. A node without successors
+       only collects.
 
-    The waves stop when no site is pending and no base awaits routing.
+    The waves stop when no base's bitset changed and no site is pending.
     """
     n_vars = len(graph.ids)
     parent = list(range(n_vars))          # union-find over collapsed cycles
@@ -351,7 +349,6 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
     backward: list[tuple[int, int]] = []  # edges added against the order
     dirty: list[int] = []                 # representatives with bits pending
     null_work: list[int] = []             # nodes that gained Null
-    rebase: list[int] = []                # bases that gained Null
     cells: dict[tuple[int, str], int] = {}
     load_hubs: dict[tuple[str, int], int] = {}
     store_hubs: dict[tuple[str, int], int] = {}
@@ -363,7 +360,6 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
     for b, fname, src in graph.stores:
         stores.setdefault(b, []).append((fname, src))
     seen_bits = dict.fromkeys([*loads, *stores], 0)  # base -> bitset routed
-    bases_at = {b: [b] for b in seen_bits}           # representative -> bases
 
     def find(n: int) -> int:
         root = n
@@ -388,6 +384,15 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         placed.append((index, n))
         return n
 
+    def gain(r: int, new: int) -> None:
+        """Add the sites `new` to representative r, pending them if r has
+        successors to push them to."""
+        bits[r] |= new
+        if succ[r]:
+            if not pending[r]:
+                dirty.append(r)
+            pending[r] |= new
+
     def link(u: int, v: int) -> None:
         """Edge u -> v between the representatives of two nodes. Null
         crosses it from node u to node v unless v is tagged."""
@@ -404,11 +409,7 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
                 backward.append((ru, rv))
             new = bits[ru] & ~bits[rv]
             if new:
-                bits[rv] |= new
-                if succ[rv] or rv in bases_at:
-                    if not pending[rv]:
-                        dirty.append(rv)
-                    pending[rv] |= new
+                gain(rv, new)
 
     def add_cells(fname: str, sites: list[int], index: int) -> None:
         """Cells for those of `sites` that have none, just before
@@ -418,46 +419,37 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
                 one = 1 << site_bit[site]
                 cells[site, fname] = load_hubs[fname, one] = store_hubs[fname, one] = new_node(index)
 
-    def load_hub(fname: str, b: int, old: int, dst: int) -> int:
-        """The load hub of (field, bitset `b`), placed before `dst`: a cell
-        for one site, else a node that reads the cells of the sites in `b`
-        but not in `old` (a bitset the base held before) and the hub of
-        `old`."""
-        h = load_hubs.get((fname, b))
+    def hub(fname: str, b: int, old: int, at: int, load: bool) -> int:
+        """The load hub (`load`) or store hub of (field, bitset `b`): a cell
+        for one site, else a node linked with the cells of the sites in `b`
+        but not in `old` (a bitset the base held before) and with the hub
+        of `old`. A load hub reads them; it is placed just before node `at`
+        and made after its cells. A store hub writes them; it is placed
+        just after `at` and made before its cells. So its edges run forward
+        once placed."""
+        hubs = load_hubs if load else store_hubs
+        h = hubs.get((fname, b))
         if h is not None:
             return h
-        index = pos[find(dst)]
-        prior = load_hubs.get((fname, old))
+        index = pos[find(at)] + (not load)
+        prior = hubs.get((fname, old))
         sites = _sites(b & ~old if prior is not None else b, bit_site)
+        many = b & (b - 1)
+        if many and not load:
+            h = hubs[fname, b] = new_node(index)
         add_cells(fname, sites, index)
-        if not b & (b - 1):
+        if not many:
             return cells[sites[0], fname]
-        h = load_hubs[fname, b] = new_node(index)
-        for site in sites:
-            link(cells[site, fname], h)
+        if load:
+            h = hubs[fname, b] = new_node(index)
+        ends = [cells[site, fname] for site in sites]
         if prior is not None:
-            link(prior, h)
-        return h
-
-    def store_hub(fname: str, b: int, old: int, src: int) -> int:
-        """The store hub of (field, bitset `b`), placed after `src`: a cell
-        for one site, else a node that writes the cells of the sites in
-        `b` but not in `old` and the hub of `old`."""
-        h = store_hubs.get((fname, b))
-        if h is not None:
-            return h
-        index = pos[find(src)] + 1
-        prior = store_hubs.get((fname, old))
-        sites = _sites(b & ~old if prior is not None else b, bit_site)
-        if b & (b - 1):
-            h = store_hubs[fname, b] = new_node(index)
-        add_cells(fname, sites, index)
-        if h is None:
-            return cells[sites[0], fname]
-        for site in sites:
-            link(h, cells[site, fname])
-        if prior is not None:
-            link(h, prior)
+            ends.append(prior)
+        for m in ends:
+            if load:
+                link(m, h)
+            else:
+                link(h, m)
         return h
 
     def route(b: int, now: int) -> None:
@@ -466,20 +458,9 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         old = seen_bits[b]
         seen_bits[b] = now
         for fname, dst in loads.get(b, ()):
-            link(load_hub(fname, now, old, dst), dst)
+            link(hub(fname, now, old, dst, True), dst)
         for fname, src in stores.get(b, ()):
-            link(src, store_hub(fname, now, old, src))
-
-    def settle_null() -> None:
-        """Spread Null on from the nodes that just gained it."""
-        while null_work:
-            n = null_work.pop()
-            if n in seen_bits:
-                rebase.append(n)
-            for m in null_succ[n]:
-                if not null[m]:
-                    null[m] = 1
-                    null_work.append(m)
+            link(src, hub(fname, now, old, src, False))
 
     def collapse(scc: list[int]) -> int:
         """Merge a cycle into its best-connected member, so that the
@@ -497,9 +478,6 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         out.difference_update(scc)
         into.difference_update(scc)
         bits[r] = union
-        merged = [b for m in scc for b in bases_at.pop(m, ())]
-        if merged:
-            bases_at[r] = merged
         if union:
             pending[r] = union  # members' successors may lack other members' bits
             dirty.append(r)
@@ -590,34 +568,38 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         link(src, dst)
     for n, site in graph.base:
         if site != NULL_SITE:
-            bits[n] |= 1 << site_bit[site]
-            if succ[n] or n in bases_at:
-                if not pending[n]:
-                    dirty.append(n)
-                pending[n] |= 1 << site_bit[site]
+            gain(n, 1 << site_bit[site])
         elif not null[n]:
             null[n] = 1
             null_work.append(n)
-    settle_null()
 
     pops = 0
-    later: list[int] = []  # bits pending behind the wave's position
-    while dirty or rebase:
-        for b in rebase:
-            now = bits[find(b)] | NULL_BIT
-            if now != seen_bits[b]:
+    while True:
+        while null_work:
+            n = null_work.pop()
+            for m in null_succ[n]:
+                if not null[m]:
+                    null[m] = 1
+                    null_work.append(m)
+        grew = False
+        for b, seen in seen_bits.items():
+            now = bits[b if parent[b] == b else find(b)] | null[b] & NULL_BIT
+            if now != seen:
                 route(b, now)
-        rebase.clear()
-        if null_work:
-            settle_null()
+                grew = True
+        if not grew and not dirty:
+            break
         if backward or placed:
             reorder()
-        heap = [(pos[r], r) for r in {find(r) for r in dirty} if pending[r]]
+        # No edge is added during the sweep, and after the reorder every
+        # edge runs forward in `order`: one pass from the lowest pending
+        # representative reaches every successor after its predecessors.
+        start = min((pos[find(r)] for r in dirty), default=len(order))
         dirty.clear()
-        heapify(heap)
-        while heap:
-            at, r = heappop(heap)
+        for r in islice(order, start, None):
             delta = pending[r]
+            if not delta:
+                continue
             pending[r] = 0
             pops += 1
             for s in succ[r]:
@@ -626,24 +608,8 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
                 new = delta & ~bits[s]
                 if new:
                     bits[s] |= new
-                    if succ[s] or s in bases_at:
-                        if not pending[s]:
-                            heappush(heap, (pos[s], s))
+                    if succ[s]:
                         pending[s] |= new
-            if r in bases_at:
-                for b in bases_at[r]:
-                    now = bits[r] | null[b] & NULL_BIT
-                    if now != seen_bits[b]:
-                        route(b, now)
-                if null_work:
-                    settle_null()
-                for x in dirty:
-                    if pos[x] > at or pos[x] == at and x > r:
-                        heappush(heap, (pos[x], x))
-                    else:
-                        later.append(x)
-                dirty.clear()
-        dirty, later = later, dirty
 
     pts = [bits[r if parent[r] == r else find(r)] | null[r] & NULL_BIT for r in range(len(parent))]
     return PointsToSolution(graph, pts, cells, pops)

@@ -13,7 +13,10 @@ every insertion), which stops Null from propagating through them.
 
 A field read can also observe a field that was never written, which
 evaluates to Null at runtime, so every read contributes the Null site to
-its target in addition to the conditional rule.
+its target in addition to the conditional rule. Null itself is a constant,
+not an object: a field access through it ends the run, so loads and stores
+go through the cells of non-Null sites only, and no (Null, field) cell
+exists.
 
 `generate_constraints` returns the constraint graph, which owns the var
 node ids (keys in first-mention order) and the site numbering (Null as bit
@@ -22,11 +25,12 @@ propagation, CGO'09): it keeps its own topological order of the graph,
 collapses the cycles that edges added against that order close (after
 Hardekopf & Lin, "The Ant and the Grasshopper", PLDI'07, and Pearce, Kelly
 & Hankin's online cycle detection, SCAM'03), and pushes each node's new
-sites on once per wave. A tag mask clears only Null, so every other site
-passes through a cycle unfiltered: the members of a collapsed cycle share
-their non-Null sites, and Null is a per-node flag that spreads only into
-untagged nodes. Loads and stores reach the (site, field) cells through one
-hub per (field, base bitset), so each distinct bitset walks its sites once.
+non-Null sites on once per wave. A tag mask clears only Null, so the
+members of a collapsed cycle share their non-Null sites. No edge depends
+on Null, so Null is a per-node flag that spreads once, after the waves,
+into untagged nodes only. Loads and stores reach the (site, field) cells
+through one hub per (field, base bitset), so each distinct bitset walks
+its sites once.
 Both solvers return a `PointsToSolution`, a view over int bitsets in the
 graph's numbering: verdicts and the soundness replay test bits, and sets
 are built only when a caller asks for them. `solve_naive` is the set-based
@@ -290,10 +294,10 @@ def solve_naive(graph: Constraints) -> PointsToSolution:
         for src, dst in graph.copies:
             add_var(dst, var_pt[src])
         for base, fname, dst in graph.loads:
-            for site in sorted(var_pt[base]):
+            for site in sorted(var_pt[base] - {NULL_SITE}):
                 add_var(dst, field_pt.get((site, fname), set()))
         for base, fname, src in graph.stores:
-            for site in sorted(var_pt[base]):
+            for site in sorted(var_pt[base] - {NULL_SITE}):
                 field_pt.setdefault((site, fname), set()).update(var_pt[src])
     pack = [sum(1 << graph.site_bit[site] for site in v) for v in (*var_pt, *field_pt.values())]
     return PointsToSolution(graph, pack, {cell: n for n, cell in enumerate(field_pt, len(var_pt))})
@@ -310,15 +314,13 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
     of its sites that is missing. A hub made when a base's bitset grew
     takes the sites it shares with the base's previous bitset through that
     bitset's hub. Every edge is one kind: it carries non-Null sites between
-    representatives and Null between nodes. Null spreads node by node over
-    every edge, into untagged nodes only, so the members of one collapsed
-    cycle can differ. Each wave:
+    representatives and Null between nodes. Each wave:
 
-    1. settles Null, then routes the loads and stores of every base whose
-       bitset (its representative's sites, and Null if the base holds it)
-       changed since it was last routed, through the hubs of the new
-       bitset, placed next to the load's target or the store's source.
-       After the copy edges, these are the only edges added;
+    1. routes the loads and stores of every base whose bitset (its
+       representative's non-Null sites) changed since it was last routed,
+       through the hubs of the new bitset, placed next to the load's target
+       or the store's source. After the copy edges, these are the only
+       edges added;
     2. restores the topological order (`order`, over representatives).
        Every edge added since the last wave that runs backward in it spans
        a window of the order, and overlapping windows merge. Only the nodes
@@ -332,6 +334,9 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
        only collects.
 
     The waves stop when no base's bitset changed and no site is pending.
+    Routing never reads Null, so by then every edge exists, and Null
+    spreads once from its base facts, node by node over every edge, into
+    untagged nodes only: the members of one collapsed cycle can differ.
     """
     n_vars = len(graph.ids)
     parent = list(range(n_vars))          # union-find over collapsed cycles
@@ -339,16 +344,12 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
     pending = [0] * n_vars                # bits not yet pushed on
     succ: list[set[int] | None] = [set() for _ in range(n_vars)]
     pred: list[set[int] | None] = [set() for _ in range(n_vars)]
-    null = bytearray(n_vars)              # per node: 1 holds Null, 2 never will
-    for n in graph.tagged:
-        null[n] = 2
-    null_succ: list[list[int]] = [[] for _ in range(n_vars)]
+    null_succ: list[list[int]] = [[] for _ in range(n_vars)]  # every edge, node to node
     order = list(range(n_vars))           # representatives, topologically
     pos: list[float] = list(range(n_vars))  # index in `order`; index - 0.5 until placed
     placed: list[tuple[int, int]] = []    # (index, new node): goes before order[index]
     backward: list[tuple[int, int]] = []  # edges added against the order
     dirty: list[int] = []                 # representatives with bits pending
-    null_work: list[int] = []             # nodes that gained Null
     cells: dict[tuple[int, str], int] = {}
     load_hubs: dict[tuple[str, int], int] = {}
     store_hubs: dict[tuple[str, int], int] = {}
@@ -378,7 +379,6 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         pending.append(0)
         succ.append(set())
         pred.append(set())
-        null.append(0)
         null_succ.append([])
         pos.append(index - 0.5)
         placed.append((index, n))
@@ -394,12 +394,9 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
             pending[r] |= new
 
     def link(u: int, v: int) -> None:
-        """Edge u -> v between the representatives of two nodes. Null
-        crosses it from node u to node v unless v is tagged."""
+        """Edge u -> v between the representatives of two nodes, and from
+        node u to node v in `null_succ`."""
         null_succ[u].append(v)
-        if null[u] == 1 and not null[v]:
-            null[v] = 1
-            null_work.append(v)
         ru = u if parent[u] == u else find(u)
         rv = v if parent[v] == v else find(v)
         if ru != rv and rv not in succ[ru]:
@@ -569,21 +566,12 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
     for n, site in graph.base:
         if site != NULL_SITE:
             gain(n, 1 << site_bit[site])
-        elif not null[n]:
-            null[n] = 1
-            null_work.append(n)
 
     pops = 0
     while True:
-        while null_work:
-            n = null_work.pop()
-            for m in null_succ[n]:
-                if not null[m]:
-                    null[m] = 1
-                    null_work.append(m)
         grew = False
         for b, seen in seen_bits.items():
-            now = bits[b if parent[b] == b else find(b)] | null[b] & NULL_BIT
+            now = bits[b if parent[b] == b else find(b)]
             if now != seen:
                 route(b, now)
                 grew = True
@@ -611,6 +599,15 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
                     if succ[s]:
                         pending[s] |= new
 
+    null = bytearray(len(parent))         # per node: 1 holds Null, 2 never will
+    for n in graph.tagged:
+        null[n] = 2
+    work = [n for n, site in graph.base if site == NULL_SITE]
+    while work:
+        n = work.pop()
+        if not null[n]:
+            null[n] = 1
+            work.extend(null_succ[n])
     pts = [bits[r if parent[r] == r else find(r)] | null[r] & NULL_BIT for r in range(len(parent))]
     return PointsToSolution(graph, pts, cells, pops)
 
@@ -668,7 +665,7 @@ def eval_abstract(sol: PointsToSolution, proc_name: str, path: Path, globals_: s
     bits = sol.bits(var_key(proc_name, path.base, globals_))
     for f in path.fields:
         nxt = NULL_BIT  # an unwritten field reads as Null
-        for site in sol.sites(bits):
+        for site in sol.sites(bits & ~NULL_BIT):  # Null has no fields
             nxt |= sol.cell_bits(site, f)
         bits = nxt
     return bits

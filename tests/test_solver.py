@@ -240,38 +240,39 @@ def test_tagged_node_in_store_load_cycle():
     assert sol.pt("t") == sol.pt_field(1, "f") == {2}
 
 
-def test_late_null_base_feeds_null_cell_back_into_cycle():
-    """p gains Null only once r.g is routed (r.g := z with z Null, then
-    p := r.g). From then on p.f := s writes s's sites into the (Null, f)
-    cell, which q (Null from the start) loads into y, and y copies back
-    into s: a cycle through the (Null, f) cell that closes waves after the
-    solve began."""
+def test_null_only_base_writes_no_cell_and_loads_only_null():
+    """Null has no fields. p gains Null late, through r.g := z (z Null) and
+    p := r.g, and q holds Null from the start; neither holds another site.
+    So p.f := s writes no cell, and y := q.f leaves y exactly the Null of
+    its own base fact (an unwritten field reads as Null), although y copies
+    on into s, the source of p.f := s."""
     cons = Constraints.build(
-        base=[("r", 1), ("z", NULL_SITE), ("s", 3), ("q", NULL_SITE), ("w", 4)],
-        copies=[("y", "s"), ("w", "y")],
+        base=[("r", 1), ("z", NULL_SITE), ("s", 3), ("q", NULL_SITE), ("y", NULL_SITE)],
+        copies=[("y", "s")],
         loads=[("r", "g", "p"), ("q", "f", "y")],
         stores=[("r", "g", "z"), ("p", "f", "s")],
     )
     sol = solve_worklist(cons)
     assert sol == solve_naive(cons)
-    assert sol.pt("p") == sol.pt_field(1, "g") == {NULL_SITE}
-    assert sol.pt_field(NULL_SITE, "f") == sol.pt("y") == sol.pt("s") == {3, 4}
+    assert sol.field_pt == {(1, "g"): {NULL_SITE}}
+    assert sol.pt("p") == sol.pt("q") == sol.pt("y") == {NULL_SITE}
+    assert sol.pt("s") == {NULL_SITE, 3}
 
 
 def test_shared_store_hub_writes_every_cell():
-    """v0 holds Null before it gains site 1, so its stores go first to the
-    (Null, h) cell and then to the hub of {Null, 1}, which passes on to the
-    earlier one. v2's first bitset is already {Null, 1}, so its store
-    shares that hub and must reach the (Null, h) cell too."""
+    """v0 holds site 1 before it gains site 2, so its stores go first to
+    the (1, h) cell and then to the hub of {1, 2}, which passes on to the
+    earlier one. v2's first bitset is already {1, 2}, so its store shares
+    that hub and must reach the (1, h) cell too."""
     cons = Constraints.build(
-        base=[("v0", NULL_SITE), ("v3", 1)],
+        base=[("v0", 1), ("v3", 2)],
         copies=[("v3", "v0")],
         loads=[("v0", "f", "v2")],
         stores=[("v0", "f", "v0"), ("v0", "h", "v1"), ("v2", "h", "v0")],
     )
     sol = solve_worklist(cons)
     assert sol == solve_naive(cons)
-    assert sol.pt("v2") == sol.pt_field(NULL_SITE, "h") == {NULL_SITE, 1}
+    assert sol.pt("v2") == sol.pt_field(1, "h") == {1, 2}
 
 
 def test_null_cell_reaches_load_through_multi_site_hub():
@@ -289,19 +290,19 @@ def test_null_cell_reaches_load_through_multi_site_hub():
 
 
 def test_grown_load_hub_passes_prior_sites_to_shared_load():
-    """r.f := z writes {Null, 1} into the (1, f) cell. p holds {1}, so
-    p := p.f first reads that cell alone; then p grows to {Null, 1}, and
-    the hub of {Null, 1} reads the (Null, f) cell plus the (1, f) cell
-    through the prior hub. q := r.f gains {Null, 1} at once, so x := q.f
-    shares that hub and sees the (1, f) cell only through the prior link."""
+    """r.f := z writes {1, 2} into the (1, f) cell. p holds {1}, so
+    p := p.f first reads that cell alone; then p grows to {1, 2}, and the
+    hub of {1, 2} reads the (2, f) cell plus the (1, f) cell through the
+    prior hub. q := r.f gains {1, 2} at once, so x := q.f shares that hub
+    and sees the (1, f) cell only through the prior link."""
     cons = Constraints.build(
-        base=[("z", NULL_SITE), ("z", 1), ("r", 1), ("p", 1)],
+        base=[("z", 1), ("z", 2), ("r", 1), ("p", 1)],
         loads=[("p", "f", "p"), ("r", "f", "q"), ("q", "f", "x")],
         stores=[("r", "f", "z")],
     )
     sol = solve_worklist(cons)
     assert sol == solve_naive(cons)
-    assert sol.pt("p") == sol.pt("q") == sol.pt("x") == {NULL_SITE, 1}
+    assert sol.pt("p") == sol.pt("q") == sol.pt("x") == {1, 2}
 
 
 @st.composite
@@ -335,7 +336,9 @@ def test_worklist_matches_naive_on_second_ladder_rung():
     program = generate(GeneratorConfig(seed=1, max_procs=60, max_blocks=40, max_stmts=15))
     for level in ("ssa", "ssa+gvn"):
         cons = generate_constraints(transform_program(program, level)[0])
-        assert solve_worklist(cons) == solve_naive(cons), level
+        sols = solve_worklist(cons), solve_naive(cons)
+        assert sols[0] == sols[1], level
+        assert not any(site == NULL_SITE for sol in sols for site, _ in sol.field_pt), level
 
 
 def test_huge_site_ids_stay_cheap():
@@ -391,7 +394,7 @@ def test_successorless_base_is_routed_from_a_backward_chain():
     sol = solve_worklist(cons)
     assert sol == solve_naive(cons)
     assert sol.pt("a") == sol.pt("c2") == sol.pt("c1") == sol.pt("b") == {NULL_SITE, 1}
-    assert sol.pt_field(1, "f") == sol.pt_field(NULL_SITE, "f") == {2}
+    assert sol.pt_field(1, "f") == {2}
     assert sol.pt("x") == sol.pt("y") == {2}
 
 
@@ -455,8 +458,8 @@ def test_first_ladder_rung_counts():
     representative node per wave)."""
     program = generate(GeneratorConfig(seed=1, max_procs=20, max_blocks=20, max_stmts=10))
     expected = {
-        "ssa": ((211, 182, 145, 22), 35, 298, 4_651, 113),
-        "ssa+gvn": ((204, 590, 138, 22), 207, 682, 11_625, 26),
+        "ssa": ((211, 182, 145, 22), 41, 292, 3_822, 113),
+        "ssa+gvn": ((204, 590, 138, 22), 123, 616, 9_618, 26),
     }
     for level, want in expected.items():
         out, _ = transform_program(program, level)

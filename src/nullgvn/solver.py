@@ -318,9 +318,9 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
 
     1. routes the loads and stores of every base whose bitset (its
        representative's non-Null sites) changed since it was last routed,
-       through the hubs of the new bitset, placed next to the load's target
-       or the store's source. After the copy edges, these are the only
-       edges added;
+       through the hubs of the new bitset. New hubs and cells join the end
+       of the order, and step 2 places them. After the copy edges, these
+       are the only edges added;
     2. restores the topological order (`order`, over representatives).
        Every edge added since the last wave that runs backward in it spans
        a window of the order, and overlapping windows merge. Only the nodes
@@ -346,8 +346,7 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
     pred: list[set[int] | None] = [set() for _ in range(n_vars)]
     null_succ: list[list[int]] = [[] for _ in range(n_vars)]  # every edge, node to node
     order = list(range(n_vars))           # representatives, topologically
-    pos: list[float] = list(range(n_vars))  # index in `order`; index - 0.5 until placed
-    placed: list[tuple[int, int]] = []    # (index, new node): goes before order[index]
+    pos = list(range(n_vars))             # index in `order`
     backward: list[tuple[int, int]] = []  # edges added against the order
     dirty: list[int] = []                 # representatives with bits pending
     cells: dict[tuple[int, str], int] = {}
@@ -370,9 +369,8 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
             parent[n], n = root, parent[n]
         return root
 
-    def new_node(index: int) -> int:
-        """A new node, to be placed just before order[index]; until then
-        its position sorts it there, after the new nodes already there."""
+    def new_node() -> int:
+        """A new node, at the end of the order."""
         n = len(parent)
         parent.append(n)
         bits.append(0)
@@ -380,8 +378,8 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         succ.append(set())
         pred.append(set())
         null_succ.append([])
-        pos.append(index - 0.5)
-        placed.append((index, n))
+        pos.append(len(order))
+        order.append(n)
         return n
 
     def gain(r: int, new: int) -> None:
@@ -402,43 +400,37 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         if ru != rv and rv not in succ[ru]:
             succ[ru].add(rv)
             pred[rv].add(ru)
-            if pos[ru] > pos[rv] or pos[ru] == pos[rv] and ru > rv:
+            if pos[ru] > pos[rv]:
                 backward.append((ru, rv))
             new = bits[ru] & ~bits[rv]
             if new:
                 gain(rv, new)
 
-    def add_cells(fname: str, sites: list[int], index: int) -> None:
-        """Cells for those of `sites` that have none, just before
-        order[index]. A cell is also the load and store hub of its site."""
+    def add_cells(fname: str, sites: list[int]) -> None:
+        """Cells for those of `sites` that have none. A cell is also the
+        load and store hub of its site."""
         for site in sites:
             if (site, fname) not in cells:
                 one = 1 << site_bit[site]
-                cells[site, fname] = load_hubs[fname, one] = store_hubs[fname, one] = new_node(index)
+                cells[site, fname] = load_hubs[fname, one] = store_hubs[fname, one] = new_node()
 
-    def hub(fname: str, b: int, old: int, at: int, load: bool) -> int:
+    def hub(fname: str, b: int, old: int, load: bool) -> int:
         """The load hub (`load`) or store hub of (field, bitset `b`): a cell
         for one site, else a node linked with the cells of the sites in `b`
         but not in `old` (a bitset the base held before) and with the hub
-        of `old`. A load hub reads them; it is placed just before node `at`
-        and made after its cells. A store hub writes them; it is placed
-        just after `at` and made before its cells. So its edges run forward
-        once placed."""
+        of `old`. A load hub reads them, a store hub writes them. New hubs
+        and cells join the end of the order, each hub after its cells, and
+        the next reorder places them."""
         hubs = load_hubs if load else store_hubs
         h = hubs.get((fname, b))
         if h is not None:
             return h
-        index = pos[find(at)] + (not load)
         prior = hubs.get((fname, old))
         sites = _sites(b & ~old if prior is not None else b, bit_site)
-        many = b & (b - 1)
-        if many and not load:
-            h = hubs[fname, b] = new_node(index)
-        add_cells(fname, sites, index)
-        if not many:
+        add_cells(fname, sites)
+        if not b & (b - 1):
             return cells[sites[0], fname]
-        if load:
-            h = hubs[fname, b] = new_node(index)
+        h = hubs[fname, b] = new_node()
         ends = [cells[site, fname] for site in sites]
         if prior is not None:
             ends.append(prior)
@@ -455,9 +447,9 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         old = seen_bits[b]
         seen_bits[b] = now
         for fname, dst in loads.get(b, ()):
-            link(hub(fname, now, old, dst, True), dst)
+            link(hub(fname, now, old, True), dst)
         for fname, src in stores.get(b, ()):
-            link(src, hub(fname, now, old, src, False))
+            link(src, hub(fname, now, old, False))
 
     def collapse(scc: list[int]) -> int:
         """Merge a cycle into its best-connected member, so that the
@@ -522,23 +514,8 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         return sccs
 
     def reorder() -> None:
-        """Place the new nodes, then make every edge run forward in the
-        order, collapsing cycles."""
-        nonlocal order
+        """Make every edge run forward in the order, collapsing cycles."""
         first = len(order)  # the first index whose node changed
-        if placed:
-            placed.sort()
-            first = placed[0][0]
-            spliced, start = order[:first], first
-            for index, n in placed:
-                spliced += order[start:index]
-                spliced.append(n)
-                start = index
-            order = spliced + order[start:]
-            placed.clear()
-            for i in range(first, len(order)):
-                pos[order[i]] = i
-            first = len(order)
         spans = sorted(  # `backward` holds representatives: only reorder merges nodes
             (pos[rv], pos[ru], ru) for ru, rv in set(backward) if pos[ru] > pos[rv]
         )
@@ -577,7 +554,7 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
                 grew = True
         if not grew and not dirty:
             break
-        if backward or placed:
+        if backward:
             reorder()
         # No edge is added during the sweep, and after the reorder every
         # edge runs forward in `order`: one pass from the lowest pending

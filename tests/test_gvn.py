@@ -1,3 +1,5 @@
+import pytest
+
 from nullgvn.gvn import (
     check_tagged_dominance,
     do_gvn,
@@ -5,11 +7,17 @@ from nullgvn.gvn import (
 )
 from nullgvn.interp import enumerate_traces, traces_equivalent
 from nullgvn.ir import (
+    Alloc,
     Assert,
     Assign,
     Assume,
+    Block,
+    Goto,
     NullCheck,
     Path,
+    Procedure,
+    Program,
+    Return,
     Store,
     is_tagged,
     validate,
@@ -259,6 +267,44 @@ def test_gvn_output_validates_and_dominates(bundled):
         out = do_gvn(to_ssa(lift_loops(program)))
         assert validate(out) == [], name
         assert check_tagged_dominance(out) == [], name
+
+
+TAG = "gvnTmp__gvn1"
+SET_TAG = Assign(TAG, Path("x"))
+READ_TAG = Assign("y", Path(TAG))
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (
+            [Block("L0", [Alloc("x", 1), SET_TAG, SET_TAG], Return())],
+            f"main: '{TAG}' assigned more than once",
+        ),
+        (
+            [Block("L0", [Alloc("x", 1), READ_TAG], Return())],
+            f"main: '{TAG}' used but never assigned",
+        ),
+        (
+            [Block("L0", [Alloc("x", 1), READ_TAG, SET_TAG], Return())],
+            f"main, block L0: '{TAG}' used at stmt 1 before its assignment at 2",
+        ),
+        (
+            [
+                Block("L0", [Alloc("x", 1)], Goto(("L1", "L2"))),
+                Block("L1", [SET_TAG], Goto(("L3",))),
+                Block("L2", [], Goto(("L3",))),
+                Block("L3", [READ_TAG], Return()),
+            ],
+            f"main: assignment of '{TAG}' in L1 does not dominate use in L3",
+        ),
+    ],
+    ids=["assigned_twice", "never_assigned", "read_before_assignment", "one_arm_of_diamond"],
+)
+def test_tagged_dominance_reports_each_violation(blocks, message):
+    """Built from IR classes: `validate` rejects the first two programs."""
+    proc = Procedure("main", [], [], ["x", "y", TAG], blocks, "L0")
+    assert check_tagged_dominance(Program([], [proc], "main")) == [message]
 
 
 def test_gvn_deterministic(bundled):

@@ -62,19 +62,49 @@ def test_unwritten_field_reads_null():
     assert ("assign", "y", "null") in trace
 
 
-def test_store_through_null_faults():
-    program = parse_ok(
-        "procedure main() { var x; var y; L1: x := Null; y := new(1); x.f := y; return; }"
-    )
-    (trace,) = enumerate_traces(program, 32)
-    assert trace[-1][0] == "null_deref"
-
-
-def test_unassigned_read_is_trap():
-    program = parse_ok("procedure main() { var x; var y; L1: y := x; return; }")
-    (trace,) = enumerate_traces(program, 32)
-    assert trace[-1][0] == "unassigned"
-    assert trace[-1][2] == "x"
+@pytest.mark.parametrize(
+    "source, trace",
+    [
+        (
+            "procedure main() { var x; var y; L1: x := Null; y := new(1); x.f := y; return; }",
+            (
+                ("assign", "x", "null"),
+                ("assign", "y", ("loc", 1, 1)),
+                ("null_deref", ("main", "L1", 2)),
+            ),
+        ),
+        (
+            "procedure main() { var x; var y; L1: y := x; return; }",
+            (("unassigned", ("main", "L1", 0), "x"),),
+        ),
+        (
+            "procedure main() { var x; L0: x := Null; assert (x.f != Null); return; }",
+            (("assign", "x", "null"), ("null_deref", ("main", "L0", 1))),
+        ),
+        (
+            "procedure main() { var y; L0: assume (y != Null); return; }",
+            (("unassigned", ("main", "L0", 0), "y"),),
+        ),
+        (
+            "procedure main() { var x; var y; L0: y := new(1); x.f := y; return; }",
+            (("assign", "y", ("loc", 1, 1)), ("unassigned", ("main", "L0", 1), "x")),
+        ),
+        (
+            "procedure main() returns (r, s) { L0: r := new(1); return; }",
+            (("assign", "r", ("loc", 1, 1)), ("return", (("loc", 1, 1), "undef"))),
+        ),
+    ],
+    ids=[
+        "store_through_null",
+        "unassigned_read",
+        "assert_through_null",
+        "assume_on_unassigned",
+        "store_through_unassigned",
+        "unset_return",
+    ],
+)
+def test_single_trace_pinned(source, trace):
+    assert list(enumerate_traces(parse_ok(source), 32)) == [trace]
 
 
 def test_determinism(bundled):

@@ -53,14 +53,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=500)
     parser.add_argument("--depth", type=int, default=64)
-    parser.add_argument("--loop-prob", type=float, default=0.15,
-                        help="loop probability of the default shape")
     args = parser.parse_args()
 
     failures = 0
     for seed in range(args.seeds):
         for shape, config in (
-            ("default", GeneratorConfig(seed=seed, loop_prob=args.loop_prob)),
+            ("default", GeneratorConfig(seed=seed)),
             ("wide", GeneratorConfig(seed=seed, **WIDE)),
         ):
             failures += check(generate(config), args.depth, f"seed {seed} ({shape})")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -52,12 +53,30 @@ def _open_output(path: str) -> TextIO:
         raise _file_error(path, exc) from exc
 
 
+def _in_file(path: str, diag: Diagnostic) -> Diagnostic:
+    """A diagnostic about the program in `path`, naming the file; a parse
+    error already gives its file:line:col."""
+    if diag.file:
+        return diag
+    return dataclasses.replace(diag, where=f"{path}: {diag.where}" if diag.where else path)
+
+
 def _parse(text: str, path: str):
     """Parse one program; its diagnostics become an InputError."""
     program = parse_program(text, path)
     if isinstance(program, list):
-        raise InputError(program)
+        raise InputError([_in_file(path, d) for d in program])
     return program
+
+
+@contextlib.contextmanager
+def _lifting(path: str):
+    """Turn a loop-lifting failure of the program in `path` into an
+    InputError that names the file."""
+    try:
+        yield
+    except normalize.LiftError as exc:
+        raise InputError([_in_file(path, exc.diagnostic)]) from exc
 
 
 def _load(path: str):
@@ -119,7 +138,8 @@ def cmd_analyze(args) -> int:
     program = _parse(text, args.file)
     parse_ms = (time.monotonic() - t0) * 1000.0
     del text  # not needed past parsing; a large source would stay resident
-    result = pipeline.analyze_program(program, args.transform, parse_ms)
+    with _lifting(args.file):
+        result = pipeline.analyze_program(program, args.transform, parse_ms)
     if args.check_semantics:
         if _check_semantics(program, result.transformed, args.depth, None) is None:
             print("semantics check FAILED", file=sys.stderr)
@@ -135,14 +155,16 @@ def cmd_analyze(args) -> int:
 
 def cmd_transform(args) -> int:
     program = _load(args.file)
-    transformed, _ = pipeline.transform_program(program, args.level)
+    with _lifting(args.file):
+        transformed, _ = pipeline.transform_program(program, args.level)
     _emit(print_program(transformed), args.output)
     return EXIT_OK
 
 
 def cmd_check_semantics(args) -> int:
     program = _load(args.file)
-    transformed, _ = pipeline.transform_program(program, args.level)
+    with _lifting(args.file):
+        transformed, _ = pipeline.transform_program(program, args.level)
     coverage = _check_semantics(program, transformed, args.depth, args.dump_traces)
     if coverage is None:
         return EXIT_DIAGNOSTICS
@@ -212,7 +234,8 @@ def cmd_gen(args) -> int:
 
 def _report_row(path: FsPath) -> dict:
     program = _load(str(path))
-    ssa, gvn = pipeline.analyze_levels(program)
+    with _lifting(str(path)):
+        ssa, gvn = pipeline.analyze_levels(program)
     return {
         "bench": path.stem,
         "procs": len(program.procedures),
@@ -321,9 +344,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         for d in exc.diagnostics:
             print(str(d), file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    except normalize.LiftError as exc:
-        print(str(exc.diagnostic), file=sys.stderr)
         return EXIT_DIAGNOSTICS
     except interp.TraceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -322,12 +322,13 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
        of the order, and step 2 places them. After the copy edges, these
        are the only edges added;
     2. restores the topological order (`order`, over representatives).
-       Every edge added since the last wave that runs backward in it spans
-       a window of the order, and overlapping windows merge. Only the nodes
-       that reach a backward edge's source inside its window are searched
-       (Tarjan, over predecessors). Each cycle found collapses into one
+       No position moves between reorders, so the only edges that run
+       backward in it are those added against it since the last wave. One
+       search (Tarjan, over predecessors) covers the order from the lowest
+       of their targets to the end and finds the nodes there that reach
+       one of their sources. Each cycle found collapses into one
        representative, and the searched nodes move, in topological order,
-       to the front of the window;
+       ahead of the rest of that stretch, which keeps its order;
     3. sweeps the order once, from the lowest representative with sites
        pending, pushing each representative's new non-Null sites on to its
        successors; `pops` counts these pushes. A node without successors
@@ -472,9 +473,10 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
             dirty.append(r)
         return r
 
-    def reach_sccs(sources: list[int], lo: int, hi: int) -> list[list[int]]:
-        """Tarjan's SCCs of the representatives that reach `sources`
-        through order indices lo..hi, in topological order."""
+    def reach_sccs(sources: list[int], lo: int) -> list[list[int]]:
+        """Tarjan's SCCs, in topological order, of the representatives
+        from order index `lo` to the end that reach `sources` there: one
+        search per wave, from the lowest backward target on."""
         index: dict[int, int] = {}
         low: dict[int, int] = {}
         stack: list[int] = []
@@ -493,7 +495,7 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
                     if parent[p] != p:
                         p = find(p)
                     if p not in index:
-                        if lo <= pos[p] <= hi:
+                        if pos[p] >= lo:
                             index[p] = low[p] = len(index)
                             stack.append(p)
                             on_stack.add(p)
@@ -514,28 +516,17 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         return sccs
 
     def reorder() -> None:
-        """Make every edge run forward in the order, collapsing cycles."""
-        first = len(order)  # the first index whose node changed
-        spans = sorted(  # `backward` holds representatives: only reorder merges nodes
-            (pos[rv], pos[ru], ru) for ru, rv in set(backward) if pos[ru] > pos[rv]
-        )
+        """Make every edge run forward in the order, collapsing cycles.
+        `backward` holds representatives (only reorder merges nodes) and
+        no position has moved since they were recorded."""
+        lo = min(pos[rv] for _, rv in backward)
+        block = reach_sccs([ru for ru, _ in backward], lo)
         backward.clear()
-        windows: list[list] = []  # [lo, hi, sources]
-        for lo, hi, ru in spans:
-            if windows and lo <= windows[-1][1]:
-                w = windows[-1]
-                w[1] = max(w[1], hi)
-                w[2].append(ru)
-            else:
-                windows.append([lo, hi, [ru]])
-        for lo, hi, sources in reversed(windows):  # later windows first: indices shift
-            block = reach_sccs(sources, lo, hi)
-            moved = {m for scc in block for m in scc}
-            order[lo : hi + 1] = [
-                scc[0] if len(scc) == 1 else collapse(scc) for scc in block
-            ] + [n for n in order[lo : hi + 1] if n not in moved]
-            first = lo
-        for i in range(first, len(order)):
+        moved = {m for scc in block for m in scc}
+        order[lo:] = [scc[0] if len(scc) == 1 else collapse(scc) for scc in block] + [
+            n for n in order[lo:] if n not in moved
+        ]
+        for i in range(lo, len(order)):
             pos[order[i]] = i
 
     for src, dst in graph.copies:

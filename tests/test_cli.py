@@ -7,10 +7,11 @@ from pathlib import Path as FsPath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nullgvn import corpus
+from nullgvn import corpus, interp, pipeline
 from nullgvn.cli import build_parser, main
 from nullgvn.corpus import bundled_sources
 from nullgvn.interp import enumerate_traces, is_truncated
+from nullgvn.ir import Assert
 from nullgvn.parse import parse_program, print_program
 from nullgvn.pipeline import transform_program
 
@@ -301,6 +302,79 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", bad)
     assert code == 1
     assert "error" in err
+
+
+IRREDUCIBLE = """
+procedure main() {
+  var a;
+  L0: a := new(1); goto L1, L2;
+  L1: a := Null; goto L2;
+  L2: a := a; goto L1;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("report", "{path}: procedure f: error: duplicate names in returns list"),
+        ("analyze", "{path}: procedure main: error: irreducible control flow: "
+                    "cycle has no dominating header"),
+    ],
+    ids=["validation", "loop-lifting"],
+)
+def test_program_diagnostics_name_the_file(capsys, tmp_path, command, line):
+    """A validation or loop-lifting diagnostic names the file it is about,
+    also among the files of a `report` directory."""
+    (tmp_path / "a.ir").write_text("procedure main() { L0: return; }", encoding="utf-8")
+    path = tmp_path / "b.ir"
+    path.write_text(
+        "procedure main() { L0: return; } procedure f() returns (r, r) { L0: return; }"
+        if command == "report" else IRREDUCIBLE,
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, command, tmp_path if command == "report" else path)
+    assert (code, out, err) == (1, "", line.format(path=path) + "\n")
+
+
+def _drop_asserts(program):
+    """A broken gvn stage: the program without its asserts."""
+    program = program.clone()
+    for proc in program.procedures:
+        for block in proc.blocks:
+            block.stmts = [s for s in block.stmts if not isinstance(s, Assert)]
+    return program
+
+
+@pytest.mark.parametrize("argv", [["check-semantics"], ["analyze", "--check-semantics"]],
+                         ids=["check-semantics", "analyze"])
+def test_semantics_check_failure_exit(capsys, monkeypatch, chained, argv):
+    """A transformation that changes the traces fails the semantics check:
+    exit 1, the witness on stderr and no report."""
+    monkeypatch.setattr(pipeline, "STAGES", (*pipeline.STAGES[:2], ("gvn", _drop_asserts)))
+    code, out, err = run(capsys, *argv[:1], chained, *argv[1:])
+    assert code == 1 and out == ""
+    assert "trace only on the left side:" in err
+    if argv[0] == "analyze":
+        assert err.endswith("semantics check FAILED\n")
+
+
+def test_trace_limit_exit(capsys, monkeypatch, chained):
+    enumerate_traces = interp.enumerate_traces
+    monkeypatch.setattr(interp, "enumerate_traces",
+                        lambda program, depth: enumerate_traces(program, depth, max_traces=2))
+    code, out, err = run(capsys, "check-semantics", chained)
+    assert (code, out) == (1, "")
+    assert err == "error: exceeded 2 automaton nodes and configurations at depth 64\n"
+
+
+def test_internal_error_exit(capsys, monkeypatch, chained):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(pipeline, "analyze_program", boom)
+    code, out, err = run(capsys, "analyze", chained)
+    assert (code, out, err) == (2, "", "internal error: RuntimeError('boom')\n")
 
 
 def test_missing_corpus_dir(capsys, tmp_path):

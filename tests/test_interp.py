@@ -90,6 +90,10 @@ def test_unwritten_field_reads_null():
             (("assign", "y", ("loc", 1, 1)), ("unassigned", ("main", "L0", 1), "x")),
         ),
         (
+            "procedure main() { var x; var y; L0: x := new(1); x.f := y; return; }",
+            (("assign", "x", ("loc", 1, 1)), ("unassigned", ("main", "L0", 1), "y")),
+        ),
+        (
             "procedure main() returns (r, s) { L0: r := new(1); return; }",
             (("assign", "r", ("loc", 1, 1)), ("return", (("loc", 1, 1), "undef"))),
         ),
@@ -100,6 +104,7 @@ def test_unwritten_field_reads_null():
         "assert_through_null",
         "assume_on_unassigned",
         "store_through_unassigned",
+        "store_from_unassigned",
         "unset_return",
     ],
 )

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nullgvn.interp import (
@@ -25,6 +26,7 @@ from nullgvn.ir import (
     validate,
 )
 from nullgvn.normalize import CycleError, topo_sort
+from nullgvn.parse import parse_program
 from nullgvn.pipeline import transform_program
 from nullgvn.solver import generate_constraints, solve_worklist
 
@@ -66,8 +68,6 @@ def test_validate_goto_undeclared_label():
         goto L9;
     }
     """
-    from nullgvn.parse import parse_program
-
     diags = parse_program(src)
     assert isinstance(diags, list)
     assert any("L9" in d.message for d in diags)
@@ -98,8 +98,6 @@ def test_validate_call_arity():
     procedure f(a) returns (r) { L1: r := a; return; }
     procedure main() { var x; L1: x := new(1); x := call f(x, x); return; }
     """
-    from nullgvn.parse import parse_program
-
     diags = parse_program(src)
     assert isinstance(diags, list)
     assert any("args" in d.message for d in diags)
@@ -132,6 +130,53 @@ def test_validate_tagged_single_assignment():
     )
     diags = validate(prog)
     assert any("gvnTmp__gvn1" in d.message for d in diags)
+
+
+MAIN = "procedure main() { L0: return; }"
+
+
+def _main(blocks, entry_block="L0", name="main"):
+    """A program of one parameterless procedure, for cases the parser rules out."""
+    return Program([], [Procedure(name, [], [], [], blocks, entry_block)], "main")
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        (MAIN + MAIN, "error: duplicate procedure name 'main'"),
+        ("procedure main(a) { L0: return; }",
+         "error: entry procedure 'main' must take no parameters"),
+        (MAIN + "procedure f(a) { var a; L0: return; }",
+         "procedure f: error: params and locals overlap: ['a']"),
+        ("var g; procedure main() { var g; L0: return; }",
+         "procedure main: error: globals shadowed by procedure-scope names: ['g']"),
+        (MAIN + "procedure f() returns (r, r) { L0: return; }",
+         "procedure f: error: duplicate names in returns list"),
+        ("var g;" + MAIN + "procedure f() returns (g) { L0: return; }",
+         "procedure f: error: returns may not name globals: ['g']"),
+        ("procedure main() { L0: goto L0; L0: return; }",
+         "procedure main: error: duplicate block labels: ['L0']"),
+        ("procedure f() { L0: return; } procedure main() { var x; L0: x := call f(); return; }",
+         "procedure main, block L0, stmt 0: error: call to 'f' binds 1 outputs, callee returns 0"),
+        (_main([Block("L0", [], Return())], name="f"),
+         "error: entry procedure 'main' is not defined"),
+        (_main([Block("L0", [], Goto(("L1",))), Block("L1", [], Return())], "L1"),
+         "procedure main: error: entry block must be the first block"),
+        (_main([Block("L0", [], Return())], "L9"),
+         "procedure main: error: entry block 'L9' is not a declared label"),
+        (_main([Block("L0", [], Goto(()))]), "procedure main, block L0: error: goto with no targets"),
+        (_main([]), "procedure main: error: procedure has no blocks"),
+    ],
+    ids=["duplicate-procedure", "entry-params", "params-locals-overlap", "shadowed-global",
+         "duplicate-returns", "returns-global", "duplicate-labels", "call-outputs",
+         "no-entry-procedure", "entry-block-not-first", "entry-block-undeclared",
+         "goto-no-targets", "no-blocks"],
+)
+def test_validate_messages(program, message):
+    """Each structural rule's message, from source text through the parser
+    or, where the parser rules the case out, from IR classes."""
+    diags = parse_program(program) if isinstance(program, str) else validate(program)
+    assert [str(d) for d in diags] == [message]
 
 
 def test_cfg_acyclic_chain(bundled):

@@ -103,24 +103,29 @@ def _report_text(name: str, report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_semantics(original, transformed, depth: int, dump: str | None) -> str | None:
-    """Compare the two programs' traces. Returns the coverage, as
-    `N / M traces, X% / Y% truncated`, when they are equivalent; prints the
-    witness and returns None when they are not."""
+def _check_semantics(
+    path: str, original, transformed, depth: int, dump: str | None
+) -> str | None:
+    """Compare the traces of the program in `path` and its transform.
+    Returns the coverage, as `N / M traces, X% / Y% truncated`, when they
+    are equivalent; prints the witness and returns None when they are not."""
     if depth < 1:
         raise InputError([Diagnostic("error", f"--depth must be at least 1, got {depth}")])
-    a = interp.enumerate_traces(original, depth)
-    b = interp.enumerate_traces(transformed, depth)
+    try:
+        a = interp.enumerate_traces(original, depth)
+        b = interp.enumerate_traces(transformed, depth)
+    except interp.TraceLimitError as exc:
+        raise InputError([_in_file(path, Diagnostic("error", str(exc)))]) from exc
     if dump:
         with _open_output(dump) as fp:
             interp.dump_traces_jsonl(a, "original", fp)
             interp.dump_traces_jsonl(b, "transformed", fp)
     cut_a, cut_b = a.truncated, b.truncated
     if cut_a == a.total and cut_b == b.total:
-        raise InputError([Diagnostic(
+        raise InputError([_in_file(path, Diagnostic(
             "error",
             f"every trace is truncated at depth {depth}; nothing was compared, raise --depth",
-        )])
+        ))])
     diff = interp.traces_diff(a, b)
     if diff is not None:
         print(diff, file=sys.stderr)
@@ -141,7 +146,7 @@ def cmd_analyze(args) -> int:
     with _lifting(args.file):
         result = pipeline.analyze_program(program, args.transform, parse_ms)
     if args.check_semantics:
-        if _check_semantics(program, result.transformed, args.depth, None) is None:
+        if _check_semantics(args.file, program, result.transformed, args.depth, None) is None:
             print("semantics check FAILED", file=sys.stderr)
             return EXIT_DIAGNOSTICS
     if args.emit_transformed:
@@ -165,7 +170,9 @@ def cmd_check_semantics(args) -> int:
     program = _load(args.file)
     with _lifting(args.file):
         transformed, _ = pipeline.transform_program(program, args.level)
-    coverage = _check_semantics(program, transformed, args.depth, args.dump_traces)
+    coverage = _check_semantics(
+        args.file, program, transformed, args.depth, args.dump_traces
+    )
     if coverage is None:
         return EXIT_DIAGNOSTICS
     print(f"{args.file}: traces equivalent at depth {args.depth} ({coverage})")
@@ -344,9 +351,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         for d in exc.diagnostics:
             print(str(d), file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    except interp.TraceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     except Exception as exc:  # internal error contract
         print(f"internal error: {exc!r}", file=sys.stderr)

@@ -25,12 +25,15 @@ propagation, CGO'09): it keeps its own topological order of the graph,
 collapses the cycles that edges added against that order close (after
 Hardekopf & Lin, "The Ant and the Grasshopper", PLDI'07, and Pearce, Kelly
 & Hankin's online cycle detection, SCAM'03), and pushes each node's new
-non-Null sites on once per wave. A tag mask clears only Null, so the
-members of a collapsed cycle share their non-Null sites. No edge depends
-on Null, so Null is a per-node flag that spreads once, after the waves,
-into untagged nodes only. Loads and stores reach the (site, field) cells
-through one hub per (field, base bitset), so each distinct bitset walks
-its sites once.
+non-Null sites on once per wave. Before the waves, every var node whose
+one input is a single copy joins its source's class (Rountev & Chandra's
+off-line variable substitution, PLDI'00), so edge sets, order slots and
+pushes exist for representatives only. A tag mask clears only Null, so the
+members of a merged class or a collapsed cycle share their non-Null sites.
+No edge depends on Null, so Null is a per-node flag that spreads once,
+after the waves, into untagged nodes only. Loads and stores reach the
+(site, field) cells through one hub per (field, base bitset), so each
+distinct bitset walks its sites once.
 Both solvers return a `PointsToSolution`, a view over int bitsets in the
 graph's numbering: verdicts and the soundness replay test bits, and sets
 are built only when a caller asks for them. `solve_naive` is the set-based
@@ -314,14 +317,23 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
     of its sites that is missing. A hub made when a base's bitset grew
     takes the sites it shares with the base's previous bitset through that
     bitset's hub. Every edge is one kind: it carries non-Null sites between
-    representatives and Null between nodes. Each wave:
+    representatives and Null between nodes.
+
+    Before any edge exists, a var node with exactly one incoming copy, no
+    load into it and no non-Null base fact joins its source's class
+    (off-line variable substitution): in the least fixpoint it holds
+    exactly its source's non-Null sites, and Null is per node anyway. The
+    copies still link, node to node, for Null. Each merged node then
+    points straight at its representative, and only representatives get
+    edge sets and a place in the order. Each wave:
 
     1. routes the loads and stores of every base whose bitset (its
        representative's non-Null sites) changed since it was last routed,
        through the hubs of the new bitset. New hubs and cells join the end
        of the order, and step 2 places them. After the copy edges, these
        are the only edges added;
-    2. restores the topological order (`order`, over representatives).
+    2. restores the topological order (`order`, over representatives from
+       the start: merged var nodes never enter it).
        No position moves between reorders, so the only edges that run
        backward in it are those added against it since the last wave. One
        search (Tarjan, over predecessors) covers the order from the lowest
@@ -340,14 +352,15 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
     untagged nodes only: the members of one collapsed cycle can differ.
     """
     n_vars = len(graph.ids)
-    parent = list(range(n_vars))          # union-find over collapsed cycles
+    parent = list(range(n_vars))          # union-find: substitution, then cycles
     bits = [0] * n_vars                   # non-Null sites, per representative
     pending = [0] * n_vars                # bits not yet pushed on
-    succ: list[set[int] | None] = [set() for _ in range(n_vars)]
-    pred: list[set[int] | None] = [set() for _ in range(n_vars)]
+    succ: list[set[int] | None] = [None] * n_vars  # per representative, None once merged
+    pred: list[set[int] | None] = [None] * n_vars
     null_succ: list[list[int]] = [[] for _ in range(n_vars)]  # every edge, node to node
-    order = list(range(n_vars))           # representatives, topologically
-    pos = list(range(n_vars))             # index in `order`
+    order: list[int] = []                 # representatives, topologically
+    pos = [0] * n_vars                    # index in `order`, per representative
+    copy_src = [-1] * n_vars              # source of a node's one input, a copy; -1 none, -2 more
     backward: list[tuple[int, int]] = []  # edges added against the order
     dirty: list[int] = []                 # representatives with bits pending
     cells: dict[tuple[int, str], int] = {}
@@ -356,10 +369,16 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
     bit_site, site_bit = graph.sites, graph.site_bit
     loads: dict[int, list[tuple[str, int]]] = {}
     stores: dict[int, list[tuple[str, int]]] = {}
+    for src, dst in graph.copies:
+        copy_src[dst] = src if copy_src[dst] == -1 else -2
     for b, fname, dst in graph.loads:
         loads.setdefault(b, []).append((fname, dst))
+        copy_src[dst] = -2
     for b, fname, src in graph.stores:
         stores.setdefault(b, []).append((fname, src))
+    for n, site in graph.base:
+        if site != NULL_SITE:
+            copy_src[n] = -2
     seen_bits = dict.fromkeys([*loads, *stores], 0)  # base -> bitset routed
 
     def find(n: int) -> int:
@@ -396,8 +415,11 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         """Edge u -> v between the representatives of two nodes, and from
         node u to node v in `null_succ`."""
         null_succ[u].append(v)
-        ru = u if parent[u] == u else find(u)
-        rv = v if parent[v] == v else find(v)
+        ru, rv = parent[u], parent[v]  # a merged var node points at its representative
+        if parent[ru] != ru:
+            ru = find(ru)
+        if parent[rv] != rv:
+            rv = find(rv)
         if ru != rv and rv not in succ[ru]:
             succ[ru].add(rv)
             pred[rv].add(ru)
@@ -517,8 +539,9 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
 
     def reorder() -> None:
         """Make every edge run forward in the order, collapsing cycles.
-        `backward` holds representatives (only reorder merges nodes) and
-        no position has moved since they were recorded."""
+        `backward` holds representatives (once edges exist, only reorder
+        merges nodes) and no position has moved since they were
+        recorded."""
         lo = min(pos[rv] for _, rv in backward)
         block = reach_sccs([ru for ru, _ in backward], lo)
         backward.clear()
@@ -529,6 +552,19 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         for i in range(lo, len(order)):
             pos[order[i]] = i
 
+    # Substitution. Each node is given a parent once, while it is still a
+    # root, so a cycle of single copies stays a tree: where the copies come
+    # back round, find(src) is the node itself. Then every node points
+    # straight at its representative.
+    for n, src in enumerate(copy_src):
+        if src >= 0:
+            parent[n] = find(src)
+    for n, r in enumerate(parent):
+        if r == n:
+            pos[n], succ[n], pred[n] = len(order), set(), set()
+            order.append(n)
+        elif parent[r] != r:
+            parent[n] = find(r)
     for src, dst in graph.copies:
         link(src, dst)
     for n, site in graph.base:

@@ -226,7 +226,7 @@ def test_check_semantics_all_truncated_fails(capsys, tmp_path, command):
     path.write_text("procedure main() {\n  L0: goto L0;\n}\n", encoding="utf-8")
     code, out, err = run(capsys, command[0], path, *command[1:], "--depth", "16")
     assert code == 1
-    assert "every trace is truncated at depth 16" in err
+    assert err.startswith(f"{path}: error: every trace is truncated at depth 16;")
     assert "internal error" not in err and "equivalent" not in out
 
 
@@ -365,7 +365,7 @@ def test_trace_limit_exit(capsys, monkeypatch, chained):
                         lambda program, depth: enumerate_traces(program, depth, max_traces=2))
     code, out, err = run(capsys, "check-semantics", chained)
     assert (code, out) == (1, "")
-    assert err == "error: exceeded 2 automaton nodes and configurations at depth 64\n"
+    assert err == f"{chained}: error: exceeded 2 automaton nodes and configurations at depth 64\n"
 
 
 def test_internal_error_exit(capsys, monkeypatch, chained):

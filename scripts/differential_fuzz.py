@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Differential fuzzing loop: trace equivalence, solver agreement and
-soundness, and the value numbering's term replay over a seed range. Every
-seed is drawn twice: at the default shape and at one fixed wider, loopier
-shape (WIDE), whose larger constraint graphs exercise the wave solver's
-reordering. Exit status 1 if any seed misbehaves."""
+soundness, copy-only Null reachability against the wave solver (the Null
+bits and verdicts), and the value numbering's term replay over a seed
+range. Every seed is drawn twice: at the default shape and at one fixed
+wider, loopier shape (WIDE), whose larger constraint graphs exercise the
+wave solver's reordering. Exit status 1 if any seed misbehaves."""
 
 import argparse
 import sys
@@ -15,7 +16,14 @@ from nullgvn.corpus import GeneratorConfig, generate
 from nullgvn.gvn import check_tagged_dominance, do_gvn
 from nullgvn.interp import check_solution_soundness, check_term_consistency
 from nullgvn.pipeline import stage_witnesses, transform_program
-from nullgvn.solver import generate_constraints, solve_naive, solve_worklist
+from nullgvn.solver import (
+    NULL_BIT,
+    classify_assertions,
+    generate_constraints,
+    solve_naive,
+    solve_null,
+    solve_worklist,
+)
 
 
 WIDE = dict(max_procs=4, max_blocks=8, max_stmts=6, loop_prob=0.3)
@@ -36,6 +44,12 @@ def check(program, depth: int, where: str) -> int:
         solution = solve_worklist(cons)
         if solve_naive(cons) != solution:
             print(f"{where}: solvers disagree at {level}")
+            failures += 1
+        null = solve_null(cons)
+        if null.pts != [solution.pts[n] & NULL_BIT for n in range(len(cons.ids))] or (
+            classify_assertions(prog, null) != classify_assertions(prog, solution)
+        ):
+            print(f"{where}: copy-only Null reachability disagrees with the wave solver at {level}")
             failures += 1
         if check_solution_soundness(prog, solution, depth // 2):
             print(f"{where}: points-to solution is not an over-approximation at {level}")

@@ -62,11 +62,13 @@ def stage_witnesses(program: Program, depth: int) -> list[tuple[str, str | None]
 def _solve(
     transformed: Program, parse_ms: float, timings: dict[str, float]
 ) -> solver.SafetyReport:
+    """Verdicts from the Null reachability pass, which decides each one as
+    the full points-to solution would; the wave solver does not run."""
     t0 = time.monotonic()
     constraints = solver.generate_constraints(transformed)
     constraints_ms = _ms(t0)
     t0 = time.monotonic()
-    solution = solver.solve_worklist(constraints)
+    solution = solver.solve_null(constraints)
     solve_ms = _ms(t0)
     t0 = time.monotonic()
     report = solver.classify_assertions(transformed, solution)

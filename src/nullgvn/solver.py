@@ -39,6 +39,17 @@ graph's numbering: verdicts and the soundness replay test bits, and sets
 are built only when a caller asks for them. `solve_naive` is the set-based
 reference; it packs its sets with the graph's `site_bit`, so there is no
 second numbering.
+
+Verdicts need only Null over copies. Every load target carries a Null base
+fact (an unwritten field reads as Null), so a load target holds Null
+already, or never does if it is tagged: no load decides whether a var node
+holds Null. A var node therefore holds Null exactly when a Null base fact
+reaches it over copy edges through untagged nodes only. And a field path
+always reads as maybe-Null, since `eval_abstract` starts each field step
+from Null, so an assert on a field path is never SAFE. `solve_null` is
+that one reachability pass, and it is what the pipeline's verdicts read.
+The wave solver's non-Null sites and cells are what the oracle paths read:
+the soundness replay, the agreement with `solve_naive`, and the fuzz.
 """
 
 from __future__ import annotations
@@ -210,7 +221,9 @@ class PointsToSolution:
     before any store reaches them); `materialized` omits them. Verdicts
     and the soundness replay test bits directly; `materialized` builds
     every set once, for `var_pt`, `field_pt` and `==`. `pops` counts
-    worklist pops (0 for the naive solver).
+    worklist pops (0 for the naive solver). A `solve_null` view holds only
+    the Null bit of each var node and no cells, so `==` and `materialized`
+    on it compare only those.
     """
 
     def __init__(self, graph: Constraints, pts: list[int], cells: dict, pops: int = 0):
@@ -603,7 +616,16 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
                     if succ[s]:
                         pending[s] |= new
 
-    null = bytearray(len(parent))         # per node: 1 holds Null, 2 never will
+    null = _spread_null(graph, null_succ)
+    pts = [bits[r if parent[r] == r else find(r)] | null[r] & NULL_BIT for r in range(len(parent))]
+    return PointsToSolution(graph, pts, cells, pops)
+
+
+def _spread_null(graph: Constraints, succ: list[list[int]]) -> bytearray:
+    """Per node of `succ` (a successor list, var nodes first): 1 if Null
+    reaches it from a Null base fact over `succ`, through untagged nodes
+    only; 2 for a tagged node, which never holds Null; else 0."""
+    null = bytearray(len(succ))
     for n in graph.tagged:
         null[n] = 2
     work = [n for n, site in graph.base if site == NULL_SITE]
@@ -611,9 +633,20 @@ def solve_worklist(graph: Constraints) -> PointsToSolution:
         n = work.pop()
         if not null[n]:
             null[n] = 1
-            work.extend(null_succ[n])
-    pts = [bits[r if parent[r] == r else find(r)] | null[r] & NULL_BIT for r in range(len(parent))]
-    return PointsToSolution(graph, pts, cells, pops)
+            work.extend(succ[n])
+    return null
+
+
+def solve_null(graph: Constraints) -> PointsToSolution:
+    """The Null projection of the least solution, for verdicts: `pts[n]` is
+    NULL_BIT when Null reaches var node n over copy edges from a Null base
+    fact, through untagged nodes only, else 0. No cells and no pops: a
+    field path then reads Null, as it does in the full solution (see the
+    module docstring)."""
+    succ: list[list[int]] = [[] for _ in graph.ids]
+    for src, dst in graph.copies:
+        succ[src].append(dst)
+    return PointsToSolution(graph, [b & NULL_BIT for b in _spread_null(graph, succ)], {})
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path as FsPath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nullgvn import corpus, interp, pipeline
+from nullgvn import corpus, interp, pipeline, solver
 from nullgvn.cli import build_parser, main
 from nullgvn.corpus import bundled_sources
 from nullgvn.interp import enumerate_traces, is_truncated
@@ -375,6 +375,36 @@ def test_internal_error_exit(capsys, monkeypatch, chained):
     monkeypatch.setattr(pipeline, "analyze_program", boom)
     code, out, err = run(capsys, "analyze", chained)
     assert (code, out, err) == (2, "", "internal error: RuntimeError('boom')\n")
+
+
+def _verdict_outputs(capsys):
+    """`analyze --format json` on every bundled program and `report --format
+    json` on all of them, without their timings."""
+    analyses = {}
+    for path in sorted(CORPUS.glob("*.ir")):
+        code, out, err = run(capsys, "analyze", path, "--format", "json")
+        assert code == 0, err
+        analyses[path.stem] = {k: v for k, v in json.loads(out).items() if k != "timings_ms"}
+    code, out, err = run(capsys, "report", CORPUS, "--format", "json")
+    assert code == 0, err
+    rows = [{k: v for k, v in row.items() if not k.endswith("_ms")} for row in json.loads(out)]
+    return analyses, rows
+
+
+def test_default_path_skips_wave_solver(capsys, monkeypatch):
+    """`analyze` and `report` decide verdicts without the wave solver: with
+    it raising, they print the verdicts and rows of an unpatched run, which
+    are those of a run that decides them on the wave solver's solution."""
+    unpatched = _verdict_outputs(capsys)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "solve_null", solver.solve_worklist)
+        assert _verdict_outputs(capsys) == unpatched
+
+    def boom(graph):
+        raise AssertionError("the wave solver ran")
+
+    monkeypatch.setattr(solver, "solve_worklist", boom)
+    assert _verdict_outputs(capsys) == unpatched
 
 
 def test_missing_corpus_dir(capsys, tmp_path):

@@ -30,6 +30,7 @@ from nullgvn.solver import (
     eval_abstract,
     generate_constraints,
     solve_naive,
+    solve_null,
     solve_worklist,
     var_key,
 )
@@ -748,3 +749,28 @@ def test_bit_verdicts_match_sets_generated(seed):
     ssa = to_ssa(lift_loops(generate(GeneratorConfig(seed=seed))))
     check_bits_against_sets(ssa)
     check_bits_against_sets(do_gvn(ssa))
+
+
+# -- verdicts from Null over copies ----------------------------------------------------
+
+
+def check_null_projection(program) -> None:
+    """On constraint-generated graphs, solve_null's bit of every var node is
+    the wave solver's Null bit, so both give the same verdicts. This is an
+    independent check of the fact in the solver's docstring."""
+    cons = generate_constraints(program)
+    null, full_sol = solve_null(cons), solve_worklist(cons)
+    assert null.pts == [full_sol.pts[n] & NULL_BIT for n in range(len(cons.ids))]
+    assert classify_assertions(program, null) == classify_assertions(program, full_sol)
+
+
+def test_null_reachability_decides_verdicts(bundled):
+    """The bundled programs and 100 generated ones at every level, and the
+    first ladder rung (555 statements) at `ssa` and `ssa+gvn`."""
+    programs = [*bundled.values(), *(generate(GeneratorConfig(seed=s)) for s in range(100))]
+    for program in programs:
+        for level in ("none", "ssa", "ssa+gvn"):
+            check_null_projection(transform_program(program, level)[0])
+    rung = generate(GeneratorConfig(seed=1, max_procs=20, max_blocks=20, max_stmts=10))
+    for level in ("ssa", "ssa+gvn"):
+        check_null_projection(transform_program(rung, level)[0])

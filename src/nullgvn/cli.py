@@ -290,11 +290,20 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1, a diagnostic like any other:
+    exit 2 is the internal-error code. Subcommand parsers inherit it."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_DIAGNOSTICS, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: `parse_args` leaves it
     unchanged, so repeated `main` calls share it."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nullgvn",
         description="Non-null assertion checking for a small pointer IR: "
         "loop lifting, SSA, a value-numbering transformation that exploits "

@@ -1,4 +1,8 @@
-"""Pointer-program intermediate representation: statements, blocks, procedures."""
+"""Pointer-program intermediate representation: statements, blocks, procedures.
+
+Every node class is a slotted dataclass, so a node carries no per-instance
+`__dict__`: a program holds one small object per statement, path and block.
+"""
 
 from __future__ import annotations
 
@@ -60,7 +64,7 @@ def is_reserved_name(name: str) -> bool:
 # Expressions and conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """An access path: a base variable plus zero or more field selectors."""
 
@@ -71,7 +75,7 @@ class Path:
         return ".".join((self.base, *self.fields))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullCheck:
     """Condition of the form `path != Null` (negated=True) or `path == Null`."""
 
@@ -83,7 +87,7 @@ class NullCheck:
         return f"({self.path} {op} Null)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Opaque:
     """A condition the analysis does not model; written `*` in source."""
 
@@ -98,7 +102,7 @@ Cond = NullCheck | Opaque
 # Statements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     """`x := y` or `x := y.f.g`; covers plain copies and field reads."""
 
@@ -106,7 +110,7 @@ class Assign:
     rhs: Path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alloc:
     """`x := new(site)`; site ids are positive and unique program-wide."""
 
@@ -114,12 +118,12 @@ class Alloc:
     site: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssignNull:
     lhs: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Store:
     """`x.f := y`; single-level stores only, source must be a variable."""
 
@@ -128,17 +132,17 @@ class Store:
     src: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assume:
     cond: Cond
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assert:
     cond: Cond
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     """`o1, ... := call p(a1, ...)`; outs may be empty."""
 
@@ -150,14 +154,14 @@ class Call:
 Statement = Assign | Alloc | AssignNull | Store | Assume | Assert | Call
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Goto:
     """Nondeterministic jump to one of the listed labels."""
 
     targets: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Return:
     pass
 
@@ -169,14 +173,14 @@ Transfer = Goto | Return
 # Program structure
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     label: str
     stmts: list[Statement]
     transfer: Transfer
 
 
-@dataclass
+@dataclass(slots=True)
 class Procedure:
     name: str
     params: list[str]
@@ -193,7 +197,7 @@ class Procedure:
         return list(dict.fromkeys((*self.params, *self.locals, *self.returns)))
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     globals: list[str]
     procedures: list[Procedure]
@@ -214,7 +218,7 @@ class Program:
         return Program(list(self.globals), procedures, self.entry)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     severity: str
     message: str

@@ -2,8 +2,12 @@
 
 The scanner is one `findall` of one regex: the source becomes a plain list of
 words, "" standing for end of input, and a word's first character gives its
-kind. Nothing tracks positions while parsing; a diagnostic rescans the text
-to find the line and column of the word it names.
+kind. Equal words are one string object, through a dict local to the parse,
+so each identifier is one object per program, shared by every node that
+names it and by every pass downstream. `sys.intern` would do the same through
+the interpreter's table, which keeps whatever size a parse grows it to.
+Nothing tracks positions while parsing; a diagnostic rescans the text to find
+the line and column of the word it names.
 
 Grammar (line comments with //, `*` is an opaque condition):
 
@@ -104,7 +108,9 @@ class _Parser:
     def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
-        self.words = [w for w in _WORD_RE.findall(text) if w] + [""]
+        words = list(filter(None, _WORD_RE.findall(text)))
+        shared: dict[str, str] = {}
+        self.words = [*map(shared.setdefault, words, words), ""]
         self.pos = 0
 
     # -- word plumbing -----------------------------------------------------
@@ -159,7 +165,8 @@ class _Parser:
             procs.append(self.procedure())
         if not self.at(""):
             raise self.fail("expected procedure or end of input")
-        entry = "main" if any(p.name == "main" for p in procs) else procs[0].name
+        # the procedure's own name string, not a literal "main": words stay shared
+        entry = next((p.name for p in procs if p.name == "main"), procs[0].name)
         return Program(globals=globals_, procedures=procs, entry=entry)
 
     def skip_type(self) -> None:

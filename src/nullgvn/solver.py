@@ -82,6 +82,20 @@ def var_key(proc_name: str | None, name: str, globals_: set[str]) -> str:
     return f"{proc_name}::{name}"
 
 
+class _ScopeKeys(dict):
+    """The var keys of one procedure by variable name, each string made on
+    first use, so every mention of a variable shares one key."""
+
+    def __init__(self, proc_name: str, globals_: set[str]):
+        super().__init__()
+        self.proc_name = proc_name
+        self.globals_ = globals_
+
+    def __missing__(self, name: str) -> str:
+        key = self[name] = var_key(self.proc_name, name, self.globals_)
+        return key
+
+
 @dataclass
 class Constraints:
     """The constraint graph over dense var node ids (`ids`, numbered by
@@ -100,7 +114,10 @@ class Constraints:
     @classmethod
     def build(cls, base=(), copies=(), loads=(), stores=(), tagged=()) -> Constraints:
         """Intern string-keyed constraints: keys are numbered in the order
-        copies, loads, stores, base and `tagged` first mention them."""
+        copies, loads, stores, base and `tagged` first mention them. `ids`
+        keeps one string per key, the first mention's; the tuples are
+        dropped. `generate_constraints` hands over tuples that already
+        share one string per variable."""
         ids: dict[str, int] = {}
         for key in (
             *(k for edge in copies for k in edge),
@@ -124,13 +141,16 @@ class Constraints:
 
 def generate_constraints(program: Program, disable_rule: str | None = None) -> Constraints:
     """One constraint per statement occurrence. `disable_rule` drops one of
-    RULES, used by the fault-injection tests to prove the oracle notices."""
+    RULES, used by the fault-injection tests to prove the oracle notices.
+    Each variable's key string is made once and shared by every mention."""
     if disable_rule is not None and disable_rule not in RULES:
         raise ValueError(f"unknown rule {disable_rule!r}")
     globals_ = set(program.globals)
-    base, copies, loads, stores = [], [], [], []  # string-keyed, for Constraints.build
+    keys = {proc.name: _ScopeKeys(proc.name, globals_) for proc in program.procedures}
+    # keyed by those shared strings, for Constraints.build to number
+    base, copies, loads, stores = [], [], [], []
     tagged = [g for g in program.globals if is_tagged(g)] + [
-        var_key(proc.name, v, globals_)
+        keys[proc.name][v]
         for proc in program.procedures
         for v in proc.scope_vars()
         if is_tagged(v)
@@ -140,11 +160,11 @@ def generate_constraints(program: Program, disable_rule: str | None = None) -> C
     def on(rule: str) -> bool:
         return rule != disable_rule
 
-    def add_path(proc_name: str, lhs_key: str, path: Path) -> None:
+    def add_path(key: _ScopeKeys, lhs_key: str, path: Path) -> None:
         """Decompose `lhs := base.f1...fn` into single-level reads through
         analysis-internal temporaries ($n is not a legal identifier)."""
         nonlocal temp_count
-        src = var_key(proc_name, path.base, globals_)
+        src = key[path.base]
         for f in path.fields[:-1]:
             temp_count += 1
             tmp = f"${temp_count}"
@@ -162,42 +182,28 @@ def generate_constraints(program: Program, disable_rule: str | None = None) -> C
 
     procs = program.proc_map()
     for proc in program.procedures:
+        key = keys[proc.name]
         for block in proc.blocks:
             for stmt in block.stmts:
                 if isinstance(stmt, Alloc):
                     if on("alloc"):
-                        base.append((var_key(proc.name, stmt.lhs, globals_), stmt.site))
+                        base.append((key[stmt.lhs], stmt.site))
                 elif isinstance(stmt, AssignNull):
                     if on("null"):
-                        base.append((var_key(proc.name, stmt.lhs, globals_), NULL_SITE))
+                        base.append((key[stmt.lhs], NULL_SITE))
                 elif isinstance(stmt, Assign):
-                    add_path(proc.name, var_key(proc.name, stmt.lhs, globals_), stmt.rhs)
+                    add_path(key, key[stmt.lhs], stmt.rhs)
                 elif isinstance(stmt, Store):
                     if on("store"):
-                        stores.append(
-                            (
-                                var_key(proc.name, stmt.base, globals_),
-                                stmt.field,
-                                var_key(proc.name, stmt.src, globals_),
-                            )
-                        )
+                        stores.append((key[stmt.base], stmt.field, key[stmt.src]))
                 elif isinstance(stmt, Call):
                     callee = procs[stmt.callee]
+                    callee_key = keys[callee.name]
                     if on("copy"):
                         for actual, formal in zip(stmt.args, callee.params):
-                            copies.append(
-                                (
-                                    var_key(proc.name, actual, globals_),
-                                    var_key(callee.name, formal, globals_),
-                                )
-                            )
+                            copies.append((key[actual], callee_key[formal]))
                         for ret, out in zip(callee.returns, stmt.outs):
-                            copies.append(
-                                (
-                                    var_key(callee.name, ret, globals_),
-                                    var_key(proc.name, out, globals_),
-                                )
-                            )
+                            copies.append((callee_key[ret], key[out]))
                 # assume/assert contribute nothing
     return Constraints.build(base, copies, loads, stores, tagged)
 

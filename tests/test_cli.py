@@ -377,6 +377,40 @@ def test_internal_error_exit(capsys, monkeypatch, chained):
     assert (code, out, err) == (2, "", "internal error: RuntimeError('boom')\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--null-check-density", "abc"],
+         "nullgvn gen: error: argument --null-check-density: invalid float value: 'abc'"),
+        (["gen", "--bogus"], "nullgvn: error: unrecognized arguments: --bogus"),
+        ([], "nullgvn: error: the following arguments are required: command"),
+        (["analyze"], "nullgvn analyze: error: the following arguments are required: file"),
+        (["analyze", "F", "--format", "xml"],
+         "nullgvn analyze: error: argument --format: invalid choice: 'xml'"),
+    ],
+    ids=["bad-float-flag", "unknown-flag", "no-subcommand", "analyze-without-file",
+         "unknown-format"],
+)
+def test_usage_error_exit_code(capsys, argv, message):
+    """A malformed command line is a diagnostic, exit 1 with argparse's
+    usage message on stderr; exit 2 stays the internal-error code."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: nullgvn")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nullgvn")
+
+
 def _verdict_outputs(capsys):
     """`analyze --format json` on every bundled program and `report --format
     json` on all of them, without their timings."""

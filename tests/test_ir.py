@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nullgvn.corpus import bundled_sources
 from nullgvn.interp import (
     check_solution_soundness,
     enumerate_traces,
@@ -11,6 +14,7 @@ from nullgvn.ir import (
     Alloc,
     Assign,
     Block,
+    Diagnostic,
     Goto,
     Path,
     Procedure,
@@ -46,6 +50,61 @@ def test_tagged_naming():
     assert tag_index("x__2") is None
     assert is_reserved_name("a__b")
     assert not any(map(is_reserved_name, ["x", "x__2", "gvnTmp__gvn1"]))
+
+
+def walk(node):
+    """Every IR node under `node`, itself included, and every string field
+    value, as ("node", obj) and ("str", obj) pairs."""
+    yield "node", node
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if dataclasses.is_dataclass(item):
+                yield from walk(item)
+            elif isinstance(item, str):
+                yield "str", item
+
+
+def test_ir_nodes_have_no_instance_dict(bundled):
+    """Every IR class is slotted: no node carries a per-instance `__dict__`,
+    before or after the transforms."""
+    classes = set()
+    for name, program in bundled.items():
+        for level in ("none", "ssa+gvn"):
+            out, _ = transform_program(program, level)
+            for kind, obj in walk(out):
+                if kind == "node":
+                    assert not hasattr(obj, "__dict__"), (name, level, obj)
+                    classes.add(type(obj).__name__)
+    assert classes == {"Program", "Procedure", "Block", "Assign", "Alloc", "AssignNull",
+                       "Store", "Assume", "Assert", "Call", "Goto", "Return", "Path",
+                       "NullCheck", "Opaque"}
+    diag = Diagnostic("error", "bad", where="procedure p")
+    assert not hasattr(diag, "__dict__")
+    moved = dataclasses.replace(diag, file="f.ir", line=3, col=4)
+    assert str(moved) == "f.ir:3:4: error: bad"
+    assert diag == Diagnostic("error", "bad", where="procedure p")
+
+
+def test_clone_shares_statements_in_fresh_containers(bundled):
+    for name, program in bundled.items():
+        clone = program.clone()
+        assert clone == program, name
+        for p, q in zip(program.procedures, clone.procedures):
+            assert p is not q and p.blocks is not q.blocks
+            for a, b in zip(p.blocks, q.blocks):
+                assert a is not b and a.stmts is not b.stmts
+                assert all(s is t for s, t in zip(a.stmts, b.stmts))
+                assert a.transfer is b.transfer
+
+
+def test_parsed_names_are_shared():
+    """The scanner shares equal words: in a parsed program equal identifiers
+    are one object, however often the source repeats them."""
+    for name, src in bundled_sources().items():
+        names = [obj for kind, obj in walk(parse_ok(src)) if kind == "str"]
+        assert len(names) > len(set(names)), name
+        assert len({id(s) for s in names}) == len(set(names)), name
 
 
 def test_scope_vars_first_occurrence_order():

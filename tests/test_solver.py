@@ -1,4 +1,6 @@
 import time
+import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from nullgvn.ir import (
     Alloc,
     Assert,
     Assign,
+    AssignNull,
     Block,
     NullCheck,
     Path,
@@ -20,9 +23,10 @@ from nullgvn.ir import (
     is_tagged,
 )
 from nullgvn.normalize import lift_loops, to_ssa
-from nullgvn.pipeline import transform_program
+from nullgvn.pipeline import TRANSFORM_LEVELS, transform_program
 from nullgvn.solver import (
     NULL_BIT,
+    RULES,
     SAFE,
     UNPROVED,
     Constraints,
@@ -576,11 +580,66 @@ def test_graph_interns_hand_built_keys(keys):
 
 
 def test_graph_interns_corpus(bundled):
+    """Every bundled program at every level, with each rule dropped and with
+    none: the graph numbers its keys in first-mention order and rebuilds
+    equal from its own keyed constraints."""
     for name, program in bundled.items():
-        out, _ = transform_program(program, "ssa+gvn")
+        for level in TRANSFORM_LEVELS:
+            out, _ = transform_program(program, level)
+            for rule in (None, *RULES):
+                cons = generate_constraints(out, disable_rule=rule)
+                back = check_graph(cons)
+                assert Constraints.build(**vars(back)) == cons, (name, level, rule)
+
+
+def test_disabled_rule_drops_only_its_constraints(bundled):
+    """With one rule dropped, the keyed constraints are the full graph's
+    less exactly those the rule makes: its statements' constraints, and
+    nothing of any other kind."""
+    for name, program in bundled.items():
+        for level in TRANSFORM_LEVELS:
+            out, _ = transform_program(program, level)
+            globals_ = set(out.globals)
+            nulls = Counter(
+                (var_key(proc.name, stmt.lhs, globals_), NULL_SITE)
+                for proc in out.procedures
+                for block in proc.blocks
+                for stmt in block.stmts
+                if isinstance(stmt, AssignNull)
+            )
+            full = vars(keyed(generate_constraints(out)))
+            full["tagged"] = set(full["tagged"])  # keyed lists them in id order
+            for rule in RULES:
+                cut = vars(keyed(generate_constraints(out, disable_rule=rule)))
+                cut["tagged"] = set(cut["tagged"])
+                want = dict(full)
+                if rule == "alloc":
+                    want["base"] = [fact for fact in full["base"] if fact[1] == NULL_SITE]
+                elif rule == "null":
+                    assert Counter(cut["base"]) == Counter(full["base"]) - nulls
+                    assert len(cut["base"]) == len(full["base"]) - nulls.total()
+                    want["base"] = cut["base"]
+                else:
+                    want[{"copy": "copies", "load": "loads", "store": "stores"}[rule]] = []
+                assert cut == want, (name, level, rule)
+
+
+def test_constraint_generation_peak_stays_near_its_graph():
+    """Constraint generation makes each var key once, so its transient
+    string-keyed constraints stay small next to the graph it keeps: on the
+    2.6k rung at `ssa+gvn` its tracemalloc peak is at most 1.4 times the
+    memory the graph holds (1.62 times when every mention made its own key
+    string)."""
+    program = generate(GeneratorConfig(seed=1, max_procs=60, max_blocks=40, max_stmts=15))
+    out, _ = transform_program(program, "ssa+gvn")
+    tracemalloc.start()
+    try:
         cons = generate_constraints(out)
-        back = check_graph(cons)
-        assert Constraints.build(**vars(back)) == cons, name
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cons.ids) > 2_000
+    assert peak <= 1.4 * kept, (peak, kept)
 
 
 def test_first_ladder_rung_counts():

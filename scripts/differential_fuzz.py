@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Differential fuzzing loop: trace equivalence, solver agreement and
 soundness, copy-only Null reachability against the wave solver (the Null
-bits and verdicts), and the value numbering's term replay over a seed
-range. Every seed is drawn twice: at the default shape and at one fixed
-wider, loopier shape (WIDE), whose larger constraint graphs exercise the
-wave solver's reordering. Exit status 1 if any seed misbehaves."""
+bits and verdicts), the value numbering's term replay, and the printer and
+parser round trip of the program and of its lift, ssa and ssa+gvn
+listings, over a seed range. Every seed is drawn twice: at the default
+shape and at one fixed wider, loopier shape (WIDE), whose larger
+constraint graphs exercise the wave solver's reordering. Exit status 1 if
+any seed misbehaves."""
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -14,8 +17,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nullgvn.corpus import GeneratorConfig, generate
 from nullgvn.gvn import check_tagged_dominance, do_gvn
+from nullgvn.ir import Alloc
 from nullgvn.interp import check_solution_soundness, check_term_consistency
-from nullgvn.pipeline import stage_witnesses, transform_program
+from nullgvn.normalize import lift_loops, to_ssa
+from nullgvn.parse import parse_program, print_program
+from nullgvn.pipeline import stage_witnesses
 from nullgvn.solver import (
     NULL_BIT,
     classify_assertions,
@@ -29,6 +35,27 @@ from nullgvn.solver import (
 WIDE = dict(max_procs=4, max_blocks=8, max_stmts=6, loop_prob=0.3)
 
 
+def round_trips(program) -> bool:
+    """The program's listing parses back to an equal program.
+
+    Lifting a loop with several exits copies its continuation, allocation
+    sites included (its traces name them), into the lifted procedure, so a
+    transformed program may repeat a site, which validation rejects. Its
+    listing must then fail with exactly those diagnostics."""
+    parsed = parse_program(print_program(program))
+    sites = [
+        s.site for p in program.procedures for b in p.blocks for s in b.stmts
+        if isinstance(s, Alloc)
+    ]
+    repeated = {site for site in sites if sites.count(site) > 1}
+    if not repeated:
+        return parsed == program
+    if not isinstance(parsed, list):
+        return False
+    found = [re.fullmatch(r"allocation site (\d+) already used in .+", d.message) for d in parsed]
+    return all(found) and {int(m[1]) for m in found} == repeated
+
+
 def check(program, depth: int, where: str) -> int:
     """Run every check on one program, print each failure; returns their number."""
     failures = 0
@@ -37,8 +64,13 @@ def check(program, depth: int, where: str) -> int:
             print(f"{where}: {stage} changed the trace set")
             print(witness)
             failures += 1
-    ssa, _ = transform_program(program, "ssa")
+    lifted = lift_loops(program)
+    ssa = to_ssa(lifted)
     transformed, recording = do_gvn(ssa, instrument=True)
+    for level, prog in (("source", program), ("lift", lifted), ("ssa", ssa), ("ssa+gvn", transformed)):
+        if not round_trips(prog):
+            print(f"{where}: the {level} listing does not parse back to the same program")
+            failures += 1
     for level, prog in (("ssa", ssa), ("ssa+gvn", transformed)):
         cons = generate_constraints(prog)
         solution = solve_worklist(cons)

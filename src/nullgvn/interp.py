@@ -572,10 +572,12 @@ def check_solution_soundness(
 def check_term_consistency(program: Program, recording: dict, depth_bound: int) -> list[tuple]:
     """Replay a transformed program and verify that every two expression
     occurrences that received the same term hold the same value on each
-    explored path. `recording` comes from do_gvn(instrument=True). A
-    configuration reached on several paths is checked, and reported, once."""
+    explored path. `recording` comes from do_gvn(instrument=True). Each
+    (term, location, path, earlier value, value) is reported once, with the
+    trace of the first path that shows it."""
     engine = _Engine(program, depth_bound, DEFAULT_TRACE_CAP)
     violations: list[tuple] = []
+    reported: set = set()
 
     def before_stmt(loc, st):
         recs = recording.get(loc)
@@ -594,8 +596,13 @@ def check_term_consistency(program: Program, recording: dict, depth_bound: int) 
             prev = seen.get(term, _MISSING)
             if prev is _MISSING:
                 seen[term] = value
-            elif prev != value and len(violations) < _VIOLATION_CAP:
-                violations.append((term, loc, str(path), prev, value, engine.full_trace(st)))
+            elif prev != value:
+                # Paths that rejoin through a single-target goto replay the
+                # shared statements without a memo check.
+                detail = (term, loc, str(path), prev, value)
+                if detail not in reported and len(violations) < _VIOLATION_CAP:
+                    reported.add(detail)
+                    violations.append((*detail, engine.full_trace(st)))
 
     engine.before_stmt = before_stmt
     engine.run()

@@ -323,12 +323,27 @@ def cfg_is_acyclic(proc: Procedure) -> bool:
 # Validation
 # ---------------------------------------------------------------------------
 
+def _where(proc: str, block: str | None = None, index: int | None = None) -> str:
+    """The location a validation diagnostic names."""
+    where = f"procedure {proc}"
+    if block is not None:
+        where += f", block {block}"
+    if index is not None:
+        where += f", stmt {index}"
+    return where
+
+
 def validate(program: Program) -> list[Diagnostic]:
-    """Check all structural invariants; returns an empty list iff they hold."""
+    """Check all structural invariants; returns an empty list iff they hold.
+
+    Each statement's names are gathered once and checked against the scope
+    in one set query; a location is spelt out only for a diagnostic.
+    """
     diags: list[Diagnostic] = []
 
-    def err(message: str, where: str = "") -> None:
-        diags.append(Diagnostic("error", message, where=where))
+    def err(message: str, *at) -> None:
+        """`at` locates the error: (procedure[, block[, statement index]])."""
+        diags.append(Diagnostic("error", message, where=_where(*at) if at else ""))
 
     names = [p.name for p in program.procedures]
     for n in sorted({n for n in names if names.count(n) > 1}):
@@ -340,83 +355,105 @@ def validate(program: Program) -> list[Diagnostic]:
         err(f"entry procedure '{program.entry}' must take no parameters")
 
     globals_ = set(program.globals)
-    seen_sites: dict[int, str] = {}
+    seen_sites: dict[int, tuple[str, str, int]] = {}
     tagged_assigns: dict[str, int] = {}
     tagged_seen: set[str] = set()
 
     for proc in program.procedures:
-        where = f"procedure {proc.name}"
         params, locals_, returns = set(proc.params), set(proc.locals), set(proc.returns)
         if params & locals_:
-            err(f"params and locals overlap: {sorted(params & locals_)}", where)
+            err(f"params and locals overlap: {sorted(params & locals_)}", proc.name)
         clash = (params | locals_) & globals_
         if clash:
-            err(f"globals shadowed by procedure-scope names: {sorted(clash)}", where)
+            err(f"globals shadowed by procedure-scope names: {sorted(clash)}", proc.name)
         if len(proc.returns) != len(returns):
-            err("duplicate names in returns list", where)
+            err("duplicate names in returns list", proc.name)
         if returns & globals_:
-            err(f"returns may not name globals: {sorted(returns & globals_)}", where)
+            err(f"returns may not name globals: {sorted(returns & globals_)}", proc.name)
         scope = params | locals_ | returns | globals_
+        tagged = {v for v in scope if is_tagged(v)}
 
         labels = [b.label for b in proc.blocks]
         label_set = set(labels)
         if len(labels) != len(label_set):
             dupes = sorted({l for l in labels if labels.count(l) > 1})
-            err(f"duplicate block labels: {dupes}", where)
+            err(f"duplicate block labels: {dupes}", proc.name)
         if not proc.blocks:
-            err("procedure has no blocks", where)
+            err("procedure has no blocks", proc.name)
             continue
         if proc.entry_block not in label_set:
-            err(f"entry block '{proc.entry_block}' is not a declared label", where)
+            err(f"entry block '{proc.entry_block}' is not a declared label", proc.name)
         elif proc.entry_block != proc.blocks[0].label:
-            err("entry block must be the first block", where)
+            err("entry block must be the first block", proc.name)
 
         for block in proc.blocks:
-            bwhere = f"{where}, block {block.label}"
-            if isinstance(block.transfer, Goto):
-                if not block.transfer.targets:
-                    err("goto with no targets", bwhere)
-                for t in block.transfer.targets:
+            transfer = block.transfer
+            if type(transfer) is Goto and not (
+                transfer.targets and label_set.issuperset(transfer.targets)
+            ):
+                if not transfer.targets:
+                    err("goto with no targets", proc.name, block.label)
+                for t in transfer.targets:
                     if t not in label_set:
-                        err(f"goto to undeclared label '{t}'", bwhere)
+                        err(f"goto to undeclared label '{t}'", proc.name, block.label)
             for i, stmt in enumerate(block.stmts):
-                swhere = f"{bwhere}, stmt {i}"
-                for v in (*stmt_reads(stmt), *stmt_writes(stmt)):
-                    if v not in scope:
-                        err(f"undeclared variable '{v}'", swhere)
-                if isinstance(stmt, Alloc):
-                    if stmt.site <= 0:
-                        err(f"allocation site id must be positive, got {stmt.site}", swhere)
-                    elif stmt.site in seen_sites:
+                # reads, then writes: `stmt_reads` and `stmt_writes`, spelt
+                # out for the kinds that touch at most one variable each way
+                kind = type(stmt)
+                if kind is Assign:
+                    names = (stmt.rhs.base, stmt.lhs)
+                elif kind is Alloc or kind is AssignNull:
+                    names = (stmt.lhs,)
+                elif kind is Assume or kind is Assert:
+                    names = (stmt.cond.path.base,) if type(stmt.cond) is NullCheck else ()
+                else:
+                    names = (*stmt_reads(stmt), *stmt_writes(stmt))
+                if scope.issuperset(names):
+                    mentions_tagged = tagged and not tagged.isdisjoint(names)
+                else:
+                    for v in names:
+                        if v not in scope:
+                            err(f"undeclared variable '{v}'", proc.name, block.label, i)
+                    mentions_tagged = any(map(is_tagged, names))
+                if kind is Alloc:
+                    site = stmt.site
+                    if site <= 0:
                         err(
-                            f"allocation site {stmt.site} already used in {seen_sites[stmt.site]}",
-                            swhere,
+                            f"allocation site id must be positive, got {site}",
+                            proc.name, block.label, i,
+                        )
+                    elif site in seen_sites:
+                        err(
+                            f"allocation site {site} already used in {_where(*seen_sites[site])}",
+                            proc.name, block.label, i,
                         )
                     else:
-                        seen_sites[stmt.site] = swhere
-                if isinstance(stmt, Call):
+                        seen_sites[site] = (proc.name, block.label, i)
+                elif kind is Call:
                     callee = procs.get(stmt.callee)
                     if callee is None:
-                        err(f"call to undefined procedure '{stmt.callee}'", swhere)
+                        err(
+                            f"call to undefined procedure '{stmt.callee}'",
+                            proc.name, block.label, i,
+                        )
                     else:
                         if len(stmt.args) != len(callee.params):
                             err(
                                 f"call to '{stmt.callee}' passes {len(stmt.args)} args, "
                                 f"expects {len(callee.params)}",
-                                swhere,
+                                proc.name, block.label, i,
                             )
                         if len(stmt.outs) != len(callee.returns):
                             err(
                                 f"call to '{stmt.callee}' binds {len(stmt.outs)} outputs, "
                                 f"callee returns {len(callee.returns)}",
-                                swhere,
+                                proc.name, block.label, i,
                             )
-                for v in stmt_writes(stmt):
-                    if is_tagged(v):
-                        tagged_assigns[v] = tagged_assigns.get(v, 0) + 1
-                for v in (*stmt_reads(stmt), *stmt_writes(stmt)):
-                    if is_tagged(v):
-                        tagged_seen.add(v)
+                if mentions_tagged:
+                    for v in stmt_writes(stmt):
+                        if is_tagged(v):
+                            tagged_assigns[v] = tagged_assigns.get(v, 0) + 1
+                    tagged_seen.update(filter(is_tagged, names))
 
     for v in sorted(tagged_seen):
         n = tagged_assigns.get(v, 0)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
+import operator
 
 from .ir import (
     Alloc,
@@ -56,7 +58,8 @@ def topo_sort(proc: Procedure) -> list[str]:
     while ready:
         label = proc.blocks[heapq.heappop(ready)].label
         order.append(label)
-        for t in sorted(set(succ[label]), key=index.get):
+        # the heap pops the lowest index whatever the order of pushes
+        for t in set(succ[label]):
             indeg[t] -= 1
             if indeg[t] == 0:
                 heapq.heappush(ready, index[t])
@@ -317,8 +320,20 @@ def _live_at_entry(proc: Procedure, order: list[str]) -> dict[str, set[str]]:
         if isinstance(block.transfer, Return):
             live.update(proc.returns)
         for stmt in reversed(block.stmts):
-            live.difference_update(stmt_writes(stmt))
-            live.update(stmt_reads(stmt))
+            # `stmt_writes` and `stmt_reads`, spelt out for the kinds that
+            # touch at most one variable each way
+            kind = type(stmt)
+            if kind is Assign:
+                live.discard(stmt.lhs)
+                live.add(stmt.rhs.base)
+            elif kind is Alloc or kind is AssignNull:
+                live.discard(stmt.lhs)
+            elif kind is Assume or kind is Assert:
+                if type(stmt.cond) is NullCheck:
+                    live.add(stmt.cond.path.base)
+            else:
+                live.difference_update(stmt_writes(stmt))
+                live.update(stmt_reads(stmt))
         live_in[label] = live
     return live_in
 
@@ -329,6 +344,7 @@ def _ssa_proc(proc: Procedure, globals_: set[str]) -> None:
     preds = predecessors(proc)
     block_map = proc.block_map()
     scope = proc.scope_vars()
+    rank = {v: i for i, v in enumerate(scope)}
     live_in = _live_at_entry(proc, order)
     declared = set(scope) | globals_
     counts: dict[str, int] = {}
@@ -336,83 +352,100 @@ def _ssa_proc(proc: Procedure, globals_: set[str]) -> None:
 
     def version(name: str) -> str:
         n = counts.get(name, 0) + 1
-        # Source text may declare a name of the generated shape `x__N`.
-        while n > 1 and make_version(name, n) in declared:
-            n += 1
         counts[name] = n
         if n == 1:
             return name
         fresh = make_version(name, n)
+        # Source text may declare a name of the generated shape `x__N`.
+        while fresh in declared:
+            n += 1
+            fresh = make_version(name, n)
+        counts[name] = n
         new_names.append(fresh)
         return fresh
 
-    def rd(env: dict[str, str], name: str) -> str:
-        return name if name in globals_ else env[name]
-
+    # A block's environment maps every procedure-scope variable to the
+    # version that holds its value, and every global to itself: globals are
+    # read as they are and never renamed. A statement that renames nothing
+    # is kept as it is.
     exit_env: dict[str, dict[str, str]] = {}
     for label in order:
         block = block_map[label]
         ps = preds[label]
-        if not ps:
-            env = {v: v for v in scope}
+        if len(ps) == 1:
+            env = exit_env[ps[0]].copy()
+        elif not ps:
+            env = {v: v for v in (*globals_, *scope)}
         else:
-            env = {}
-            for v in scope:
-                vals = [exit_env[p][v] for p in ps]
-                if all(x == vals[0] for x in vals):
-                    env[v] = vals[0]
-                elif v in live_in[label]:
+            envs = [exit_env[p] for p in ps]
+            env = dict(functools.reduce(operator.and_, (e.items() for e in envs)))
+            # The variables whose versions differ, merged in declaration
+            # order, which numbers the merged versions.
+            for v in sorted(envs[0].keys() - env.keys(), key=rank.__getitem__):
+                if v in live_in[label]:
                     merged = version(v)
-                    for p, incoming in zip(ps, vals):
-                        block_map[p].stmts.append(Assign(merged, Path(incoming)))
+                    for p, incoming in zip(ps, envs):
+                        block_map[p].stmts.append(Assign(merged, Path(incoming[v])))
                     env[v] = merged
                 else:
                     # Dead at the join: any predecessor's version will do,
                     # nothing reads it before the next assignment.
-                    env[v] = vals[0]
-        new_stmts = []
+                    env[v] = envs[0][v]
+        renamed = []
         for stmt in block.stmts:
-            new_stmts.append(_ssa_stmt(stmt, env, globals_, version, rd))
-        block.stmts = new_stmts
-        exit_env[label] = dict(env)
+            kind = type(stmt)
+            if kind is Assign:
+                rhs, lhs = stmt.rhs, stmt.lhs
+                base = env[rhs.base]
+                if base is not rhs.base:
+                    rhs = Path(base, rhs.fields)
+                if lhs not in globals_:
+                    lhs = version(lhs)
+                    env[stmt.lhs] = lhs
+                if lhs is not stmt.lhs or rhs is not stmt.rhs:
+                    stmt = Assign(lhs, rhs)
+            elif kind is Alloc or kind is AssignNull:
+                lhs = stmt.lhs
+                if lhs not in globals_:
+                    lhs = version(lhs)
+                    env[stmt.lhs] = lhs
+                    if lhs is not stmt.lhs:
+                        stmt = Alloc(lhs, stmt.site) if kind is Alloc else AssignNull(lhs)
+            elif kind is Store:
+                base, src = env[stmt.base], env[stmt.src]
+                if base is not stmt.base or src is not stmt.src:
+                    stmt = Store(base, stmt.field, src)
+            elif kind is Assume or kind is Assert:
+                cond = stmt.cond
+                if type(cond) is NullCheck:
+                    path = cond.path
+                    base = env[path.base]
+                    if base is not path.base:
+                        stmt = kind(NullCheck(Path(base, path.fields), cond.negated))
+            elif kind is Call:
+                args = tuple([env[a] for a in stmt.args])
+                outs = []
+                for out in stmt.outs:
+                    if out not in globals_:
+                        fresh = version(out)
+                        env[out] = fresh
+                        out = fresh
+                    outs.append(out)
+                stmt = Call(tuple(outs), stmt.callee, args)
+            else:
+                raise TypeError(f"unknown statement {stmt!r}")
+            renamed.append(stmt)
+        block.stmts = renamed
+        exit_env[label] = env
 
     ret_blocks = [b for b in proc.blocks if isinstance(b.transfer, Return)]
     old_returns = list(proc.returns)
     if ret_blocks and proc.returns:
         env = exit_env[ret_blocks[0].label]
-        proc.returns = [rd(env, r) for r in proc.returns]
+        proc.returns = [env[r] for r in proc.returns]
     proc.locals = proc.locals + new_names
     # A renamed returns list may orphan the original names, which remain in
     # use as the first version; they turn into plain locals.
     for r in old_returns:
         if r not in proc.returns and r not in proc.locals and r not in proc.params:
             proc.locals.append(r)
-
-
-def _ssa_stmt(stmt, env, globals_, version, rd):
-    def wr(name: str) -> str:
-        if name in globals_:
-            return name
-        fresh = version(name)
-        env[name] = fresh
-        return fresh
-
-    if isinstance(stmt, Assign):
-        rhs = Path(rd(env, stmt.rhs.base), stmt.rhs.fields)
-        return Assign(wr(stmt.lhs), rhs)
-    if isinstance(stmt, Alloc):
-        return Alloc(wr(stmt.lhs), stmt.site)
-    if isinstance(stmt, AssignNull):
-        return AssignNull(wr(stmt.lhs))
-    if isinstance(stmt, Store):
-        return Store(rd(env, stmt.base), stmt.field, rd(env, stmt.src))
-    if isinstance(stmt, (Assume, Assert)):
-        cond = stmt.cond
-        if isinstance(cond, NullCheck):
-            cond = NullCheck(Path(rd(env, cond.path.base), cond.path.fields), cond.negated)
-        return type(stmt)(cond)
-    if isinstance(stmt, Call):
-        args = tuple(rd(env, a) for a in stmt.args)
-        outs = tuple(wr(o) for o in stmt.outs)
-        return Call(outs, stmt.callee, args)
-    raise TypeError(f"unknown statement {stmt!r}")

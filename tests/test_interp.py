@@ -194,6 +194,22 @@ def test_soundness_reports_a_shared_configuration_once():
     )]
 
 
+def test_term_violation_on_a_shared_configuration_once():
+    """Both arms rejoin at L3 through single-target gotos and replay its
+    statements: the term violation there is reported once, with the first
+    arm's trace."""
+    program = parse_ok(
+        "procedure main() { var x; var y; L0: y := Null; goto L1, L2;"
+        " L1: assert (y == Null); goto L3; L2: assert (y == Null); goto L3;"
+        " L3: x := new(1); y := x; return; }"
+    )
+    recording = {("main", "L3", 0): [(Path("y"), 1)], ("main", "L3", 1): [(Path("x"), 1)]}
+    assert check_term_consistency(program, recording, 32) == [(
+        1, ("main", "L3", 1), "x", None, 1,
+        (("assign", "y", "null"), ("assert_pass", ("main", "L1", 0)), ("assign", "x", ("loc", 1, 1))),
+    )]
+
+
 WITNESS_PROGRAM = """
 procedure f(var p : int) returns r : int { L0: r := p; return; }
 procedure main() {

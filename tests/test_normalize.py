@@ -18,6 +18,7 @@ from nullgvn.normalize import (
     to_ssa,
     topo_sort,
 )
+from nullgvn.parse import print_program
 
 from conftest import parse_ok
 
@@ -175,6 +176,70 @@ def test_ssa_diamond_merge_copies():
     cond = blocks["L4"].stmts[0].cond
     assert cond.path.base == merged
     assert traces_equivalent(enumerate_traces(program, 32), enumerate_traces(ssa, 32))
+
+
+def test_ssa_three_way_join_listing():
+    """At L4, x is the same on two of three paths (merged), y differs on all
+    three (merged), z differs but is dead (no copy and no version), and w
+    agrees. Merge copies go at the end of each predecessor in declaration
+    order, y before x, and take the next version of their variable."""
+    program = parse_ok(
+        "procedure main() {\n"
+        "  var z; var y; var x; var w;\n"
+        "  L0: w := new(1); x := new(2); y := new(3); z := new(4); goto L1, L2, L3;\n"
+        "  L1: y := new(5); z := new(6); goto L4;\n"
+        "  L2: y := new(7); goto L4;\n"
+        "  L3: x := new(8); y := new(9); z := new(10); goto L4;\n"
+        "  L4: assert (x != Null); assert (y != Null); z := w; assert (z != Null); return;\n"
+        "}\n"
+    )
+    assert print_program(to_ssa(program)) == """\
+procedure main() {
+  var z;
+  var y;
+  var x;
+  var w;
+  var y__2;
+  var z__2;
+  var y__3;
+  var x__2;
+  var y__4;
+  var z__3;
+  var y__5;
+  var x__3;
+  var z__4;
+  L0:
+    w := new(1);
+    x := new(2);
+    y := new(3);
+    z := new(4);
+    goto L1, L2, L3;
+  L1:
+    y__2 := new(5);
+    z__2 := new(6);
+    y__5 := y__2;
+    x__3 := x;
+    goto L4;
+  L2:
+    y__3 := new(7);
+    y__5 := y__3;
+    x__3 := x;
+    goto L4;
+  L3:
+    x__2 := new(8);
+    y__4 := new(9);
+    z__3 := new(10);
+    y__5 := y__4;
+    x__3 := x__2;
+    goto L4;
+  L4:
+    assert (x__3 != Null);
+    assert (y__5 != Null);
+    z__4 := w;
+    assert (z__4 != Null);
+    return;
+}
+"""
 
 
 def _assignment_counts(program):

@@ -2,6 +2,7 @@ import ast
 import json
 import random
 import re
+import string
 from pathlib import Path as FsPath
 
 import pytest
@@ -166,6 +167,85 @@ def test_bad_character_wins_over_syntax_error():
     even after an earlier syntax error."""
     (diag,) = parse_program("procedure ;\n// $\n  x := $;", "t.ir")
     assert str(diag) == "t.ir:3:8: error: unexpected character '$'"
+
+
+# Every position that must hold an identifier, as a slot of one program
+# that parses and validates with the slots' default names.
+IDENT_TEMPLATE = string.Template(
+    "var $glob;\n"
+    "procedure f($param) returns $ret { L0: r := p; return; }\n"
+    "procedure two() returns (a, b) { L0: a := Null; b := Null; return; }\n"
+    "procedure main() {\n"
+    "  var $local; var y;\n"
+    "  L1: x := new(1); y := call $callee($arg); y, $out := call two();\n"
+    "      $base.f := y; x.$field := $src; goto $target;\n"
+    "  $label: return;\n"
+    "}\n"
+)
+IDENT_DEFAULTS = dict(
+    glob="g", param="p", ret="r", local="x", label="L2", target="L2", callee="f",
+    arg="x", out="x", field="f", base="x", src="y",
+)
+# slot -> what its diagnostic says was expected
+IDENT_SLOTS = {
+    "glob": "global name", "param": "parameter", "ret": "return name",
+    "local": "local name", "label": "block label", "target": "label",
+    "callee": "procedure name", "arg": "argument", "out": "variable",
+    "field": "field name", "base": "variable", "src": "variable",
+}
+
+
+def test_identifier_template_parses():
+    assert IDENT_SLOTS.keys() == IDENT_DEFAULTS.keys()
+    parse_ok(IDENT_TEMPLATE.substitute(IDENT_DEFAULTS))
+
+
+@pytest.mark.parametrize("word", ["Null", "a__b", "7"], ids=["keyword", "reserved", "numeral"])
+@pytest.mark.parametrize("slot", IDENT_SLOTS)
+def test_identifier_positions_reject(slot, word):
+    """A keyword, a reserved `__` name or a numeral in any identifier
+    position is the one diagnostic, at the word."""
+    text = IDENT_TEMPLATE.substitute(IDENT_DEFAULTS, **{slot: word})
+    at = IDENT_TEMPLATE.substitute(IDENT_DEFAULTS, **{slot: "\0"}).index("\0")
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    if "__" in word:
+        message = f"'{word}': identifiers containing '__' are reserved for generated names"
+    else:
+        message = f"expected {IDENT_SLOTS[slot]}, found '{word}'"
+    assert [str(d) for d in parse_program(text, "t.ir")] == [f"t.ir:{line}:{col}: error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("procedure main() { L0: return; } // done", None),
+        ("procedure main() { L0: return; }//", None),
+        ("procedure main() { L0: return; }\n\t \n", None),
+        (
+            "procedure main() { L0: return; // no closing brace",
+            "1:51: error: expected block label, found 'end of input'",
+        ),
+        ("procedure main() { L0: return;\n  \t", "2:4: error: expected block label, found 'end of input'"),
+        ("procedure main() { var x; L0: x :=", "1:35: error: expected variable, found 'end of input'"),
+        ("procedure main() { var x; L0: x := y.", "1:38: error: expected field name, found 'end of input'"),
+        ("procedure main() { L0: return; } $", "1:34: error: unexpected character '$'"),
+        ("procedure main() { L0: return; }\n  $\n", "2:3: error: unexpected character '$'"),
+        ("procedure main() { L0: return; }/", "1:33: error: unexpected character '/'"),
+    ],
+    ids=[
+        "comment", "bare-comment", "blanks", "comment-mid-procedure", "blanks-mid-procedure",
+        "mid-statement", "mid-path", "bad-char", "bad-char-then-blanks", "lone-slash",
+    ],
+)
+def test_input_ends(text, expected):
+    """How input may end: in a comment or blanks, which the last word's
+    match consumes, or early, with the diagnostic just past the last
+    character; a bad character after the last word is still found."""
+    result = parse_program(text, "t.ir")
+    if expected is None:
+        assert isinstance(result, Program)
+    else:
+        assert [str(d) for d in result] == [f"t.ir:{expected}"]
 
 
 GOLDEN_DIAGNOSTICS = FsPath(__file__).parent / "golden_diagnostics.json"

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Differential fuzzing loop: trace equivalence, solver agreement and
-soundness, copy-only Null reachability against the wave solver (the Null
+soundness, copy-only Null reachability against the full solver (the Null
 bits and verdicts), the value numbering's term replay, and the printer and
 parser round trip of the program and of its lift, ssa and ssa+gvn
 listings, over a seed range. Every seed is drawn twice: at the default
-shape and at one fixed wider, loopier shape (WIDE), whose larger
-constraint graphs exercise the wave solver's reordering. Exit status 1 if
+shape and at one fixed wider, loopier shape (WIDE), for larger constraint
+graphs with copy cycles through the calls of lifted loops. Exit status 1 if
 any seed misbehaves."""
 
 import argparse
@@ -81,7 +81,7 @@ def check(program, depth: int, where: str) -> int:
         if null.pts != [solution.pts[n] & NULL_BIT for n in range(len(cons.ids))] or (
             classify_assertions(prog, null) != classify_assertions(prog, solution)
         ):
-            print(f"{where}: copy-only Null reachability disagrees with the wave solver at {level}")
+            print(f"{where}: copy-only Null reachability disagrees with the full solver at {level}")
             failures += 1
         if check_solution_soundness(prog, solution, depth // 2):
             print(f"{where}: points-to solution is not an over-approximation at {level}")

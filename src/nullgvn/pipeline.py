@@ -63,7 +63,7 @@ def _solve(
     transformed: Program, parse_ms: float, timings: dict[str, float]
 ) -> solver.SafetyReport:
     """Verdicts from the Null reachability pass, which decides each one as
-    the full points-to solution would; the wave solver does not run."""
+    the full points-to solution would; `solve_worklist` does not run."""
     t0 = time.monotonic()
     constraints = solver.generate_constraints(transformed)
     constraints_ms = _ms(t0)

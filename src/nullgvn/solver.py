@@ -20,20 +20,7 @@ exists.
 
 `generate_constraints` returns the constraint graph, which owns the var
 node ids (keys in first-mention order) and the site numbering (Null as bit
-0). `solve_worklist` solves it in waves (Pereira & Berlin's wave
-propagation, CGO'09): it keeps its own topological order of the graph,
-collapses the cycles that edges added against that order close (after
-Hardekopf & Lin, "The Ant and the Grasshopper", PLDI'07, and Pearce, Kelly
-& Hankin's online cycle detection, SCAM'03), and pushes each node's new
-non-Null sites on once per wave. Before the waves, every var node whose
-one input is a single copy joins its source's class (Rountev & Chandra's
-off-line variable substitution, PLDI'00), so edge sets, order slots and
-pushes exist for representatives only. A tag mask clears only Null, so the
-members of a merged class or a collapsed cycle share their non-Null sites.
-No edge depends on Null, so Null is a per-node flag that spreads once,
-after the waves, into untagged nodes only. Loads and stores reach the
-(site, field) cells through one hub per (field, base bitset), so each
-distinct bitset walks its sites once.
+0). `solve_worklist` solves it by difference propagation over int bitsets.
 Both solvers return a `PointsToSolution`, a view over int bitsets in the
 graph's numbering: verdicts and the soundness replay test bits, and sets
 are built only when a caller asks for them. `solve_naive` is the set-based
@@ -48,15 +35,15 @@ reaches it over copy edges through untagged nodes only. And a field path
 always reads as maybe-Null, since `eval_abstract` starts each field step
 from Null, so an assert on a field path is never SAFE. `solve_null` is
 that one reachability pass, and it is what the pipeline's verdicts read.
-The wave solver's non-Null sites and cells are what the oracle paths read:
-the soundness replay, the agreement with `solve_naive`, and the fuzz.
+`solve_worklist`'s non-Null sites and cells are what the oracle paths
+read: the soundness replay, the agreement with `solve_naive`, and the fuzz.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress
 
 from .ir import (
     Alloc,
@@ -223,8 +210,8 @@ class PointsToSolution:
 
     `pts[n]` is node n's points-to set over the graph's site numbering: var
     nodes are the graph's, and `cells` maps each (site, field) to its node.
-    `cells` may hold empty cells (the wave solver makes a load's cells
-    before any store reaches them); `materialized` omits them. Verdicts
+    `cells` may hold empty cells (a load base reaching a site makes its
+    cell before any store writes it); `materialized` omits them. Verdicts
     and the soundness replay test bits directly; `materialized` builds
     every set once, for `var_pt`, `field_pt` and `==`. `pops` counts
     worklist pops (0 for the naive solver). A `solve_null` view holds only
@@ -326,321 +313,80 @@ def solve_naive(graph: Constraints) -> PointsToSolution:
 
 
 def solve_worklist(graph: Constraints) -> PointsToSolution:
-    """Wave solver: the same least fixpoint as solve_naive.
+    """Difference propagation (Pearce, Kelly & Hankin, "Efficient
+    field-sensitive pointer analysis of C", TOPLAS'07): the same least
+    fixpoint as solve_naive.
 
-    Nodes are the graph's var nodes, then cells and hubs. A load hub stands
-    for one (field, base bitset): it reads the cell of every site in the
-    bitset and feeds every load whose base holds exactly that bitset. A
-    store hub likewise writes what its sources hold into those cells. The
-    hub of a one-site bitset is that site's cell, and a hub makes any cell
-    of its sites that is missing. A hub made when a base's bitset grew
-    takes the sites it shares with the base's previous bitset through that
-    bitset's hub. Every edge is one kind: it carries non-Null sites between
-    representatives and Null between nodes.
-
-    Before any edge exists, a var node with exactly one incoming copy, no
-    load into it and no non-Null base fact joins its source's class
-    (off-line variable substitution): in the least fixpoint it holds
-    exactly its source's non-Null sites, and Null is per node anyway. The
-    copies still link, node to node, for Null. Each merged node then
-    points straight at its representative, and only representatives get
-    edge sets and a place in the order. Each wave:
-
-    1. routes the loads and stores of every base whose bitset (its
-       representative's non-Null sites) changed since it was last routed,
-       through the hubs of the new bitset. New hubs and cells join the end
-       of the order, and step 2 places them. After the copy edges, these
-       are the only edges added;
-    2. restores the topological order (`order`, over representatives from
-       the start: merged var nodes never enter it).
-       No position moves between reorders, so the only edges that run
-       backward in it are those added against it since the last wave. One
-       search (Tarjan, over predecessors) covers the order from the lowest
-       of their targets to the end and finds the nodes there that reach
-       one of their sources. Each cycle found collapses into one
-       representative, and the searched nodes move, in topological order,
-       ahead of the rest of that stretch, which keeps its order;
-    3. sweeps the order once, from the lowest representative with sites
-       pending, pushing each representative's new non-Null sites on to its
-       successors; `pops` counts these pushes. A node without successors
-       only collects.
-
-    The waves stop when no base's bitset changed and no site is pending.
-    Routing never reads Null, so by then every edge exists, and Null
-    spreads once from its base facts, node by node over every edge, into
-    untagged nodes only: the members of one collapsed cycle can differ.
+    Nodes are the graph's var nodes, then the (site, field) cells, each
+    numbered when a load or store first reaches it. Each node has one
+    pending delta and sits on a LIFO worklist at most once: it is pushed
+    only when that delta turns non-zero, and `pops` counts the pops. A
+    tagged node's mask clears Null at every insertion. Copy edges pass the
+    whole delta; a load or store base walks only its new non-Null sites and
+    links their cells, so no (Null, field) cell exists.
     """
     n_vars = len(graph.ids)
-    parent = list(range(n_vars))          # union-find: substitution, then cycles
-    bits = [0] * n_vars                   # non-Null sites, per representative
-    pending = [0] * n_vars                # bits not yet pushed on
-    succ: list[set[int] | None] = [None] * n_vars  # per representative, None once merged
-    pred: list[set[int] | None] = [None] * n_vars
-    null_succ: list[list[int]] = [[] for _ in range(n_vars)]  # every edge, node to node
-    order: list[int] = []                 # representatives, topologically
-    pos = [0] * n_vars                    # index in `order`, per representative
-    copy_src = [-1] * n_vars              # source of a node's one input, a copy; -1 none, -2 more
-    backward: list[tuple[int, int]] = []  # edges added against the order
-    dirty: list[int] = []                 # representatives with bits pending
+    pts = [0] * n_vars
+    pending = [0] * n_vars
+    mask = [-1] * n_vars
+    for n in graph.tagged:
+        mask[n] = ~NULL_BIT
+    succ: list[set[int]] = [set() for _ in range(n_vars)]
     cells: dict[tuple[int, str], int] = {}
-    load_hubs: dict[tuple[str, int], int] = {}
-    store_hubs: dict[tuple[str, int], int] = {}
-    bit_site, site_bit = graph.sites, graph.site_bit
     loads: dict[int, list[tuple[str, int]]] = {}
     stores: dict[int, list[tuple[str, int]]] = {}
-    for src, dst in graph.copies:
-        copy_src[dst] = src if copy_src[dst] == -1 else -2
-    for b, fname, dst in graph.loads:
-        loads.setdefault(b, []).append((fname, dst))
-        copy_src[dst] = -2
-    for b, fname, src in graph.stores:
-        stores.setdefault(b, []).append((fname, src))
-    for n, site in graph.base:
-        if site != NULL_SITE:
-            copy_src[n] = -2
-    seen_bits = dict.fromkeys([*loads, *stores], 0)  # base -> bitset routed
+    work: list[int] = []
 
-    def find(n: int) -> int:
-        root = n
-        while parent[root] != root:
-            root = parent[root]
-        while parent[n] != root:
-            parent[n], n = root, parent[n]
-        return root
+    def add(n: int, bits: int) -> None:
+        new = bits & mask[n] & ~pts[n]
+        if new:
+            pts[n] |= new
+            if not pending[n]:
+                work.append(n)
+            pending[n] |= new
 
-    def new_node() -> int:
-        """A new node, at the end of the order."""
-        n = len(parent)
-        parent.append(n)
-        bits.append(0)
-        pending.append(0)
-        succ.append(set())
-        pred.append(set())
-        null_succ.append([])
-        pos.append(len(order))
-        order.append(n)
+    def link(src: int, dst: int) -> None:
+        if dst not in succ[src]:
+            succ[src].add(dst)
+            if pts[src]:
+                add(dst, pts[src])
+
+    def cell(site: int, fname: str) -> int:
+        n = cells.get((site, fname))
+        if n is None:
+            n = cells[site, fname] = len(pts)
+            pts.append(0)
+            pending.append(0)
+            mask.append(-1)
+            succ.append(set())
         return n
 
-    def gain(r: int, new: int) -> None:
-        """Add the sites `new` to representative r, pending them if r has
-        successors to push them to."""
-        bits[r] |= new
-        if succ[r]:
-            if not pending[r]:
-                dirty.append(r)
-            pending[r] |= new
-
-    def link(u: int, v: int) -> None:
-        """Edge u -> v between the representatives of two nodes, and from
-        node u to node v in `null_succ`."""
-        null_succ[u].append(v)
-        ru, rv = parent[u], parent[v]  # a merged var node points at its representative
-        if parent[ru] != ru:
-            ru = find(ru)
-        if parent[rv] != rv:
-            rv = find(rv)
-        if ru != rv and rv not in succ[ru]:
-            succ[ru].add(rv)
-            pred[rv].add(ru)
-            if pos[ru] > pos[rv]:
-                backward.append((ru, rv))
-            new = bits[ru] & ~bits[rv]
-            if new:
-                gain(rv, new)
-
-    def add_cells(fname: str, sites: list[int]) -> None:
-        """Cells for those of `sites` that have none. A cell is also the
-        load and store hub of its site."""
-        for site in sites:
-            if (site, fname) not in cells:
-                one = 1 << site_bit[site]
-                cells[site, fname] = load_hubs[fname, one] = store_hubs[fname, one] = new_node()
-
-    def hub(fname: str, b: int, old: int, load: bool) -> int:
-        """The load hub (`load`) or store hub of (field, bitset `b`): a cell
-        for one site, else a node linked with the cells of the sites in `b`
-        but not in `old` (a bitset the base held before) and with the hub
-        of `old`. A load hub reads them, a store hub writes them. New hubs
-        and cells join the end of the order, each hub after its cells, and
-        the next reorder places them."""
-        hubs = load_hubs if load else store_hubs
-        h = hubs.get((fname, b))
-        if h is not None:
-            return h
-        prior = hubs.get((fname, old))
-        sites = _sites(b & ~old if prior is not None else b, bit_site)
-        add_cells(fname, sites)
-        if not b & (b - 1):
-            return cells[sites[0], fname]
-        h = hubs[fname, b] = new_node()
-        ends = [cells[site, fname] for site in sites]
-        if prior is not None:
-            ends.append(prior)
-        for m in ends:
-            if load:
-                link(m, h)
-            else:
-                link(h, m)
-        return h
-
-    def route(b: int, now: int) -> None:
-        """Route the loads and stores of base `b` through the hubs of its
-        new bitset `now`."""
-        old = seen_bits[b]
-        seen_bits[b] = now
-        for fname, dst in loads.get(b, ()):
-            link(hub(fname, now, old, True), dst)
-        for fname, src in stores.get(b, ()):
-            link(src, hub(fname, now, old, False))
-
-    def collapse(scc: list[int]) -> int:
-        """Merge a cycle into its best-connected member, so that the
-        fewest edge sets move; returns that representative."""
-        r = max(scc, key=lambda m: len(succ[m]) + len(pred[m]))
-        out, into, union = succ[r], pred[r], 0
-        for m in scc:
-            union |= bits[m]
-            pending[m] = 0
-            if m != r:
-                parent[m] = r
-                out |= succ[m]
-                into |= pred[m]
-                succ[m] = pred[m] = None
-        out.difference_update(scc)
-        into.difference_update(scc)
-        bits[r] = union
-        if union:
-            pending[r] = union  # members' successors may lack other members' bits
-            dirty.append(r)
-        return r
-
-    def reach_sccs(sources: list[int], lo: int) -> list[list[int]]:
-        """Tarjan's SCCs, in topological order, of the representatives
-        from order index `lo` to the end that reach `sources` there: one
-        search per wave, from the lowest backward target on."""
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
-        stack: list[int] = []
-        on_stack: set[int] = set()
-        sccs: list[list[int]] = []
-        for root in sources:
-            if root in index:
-                continue
-            index[root] = low[root] = len(index)
-            stack.append(root)
-            on_stack.add(root)
-            work = [(root, iter(pred[root]))]
-            while work:
-                n, into = work[-1]
-                for p in into:
-                    if parent[p] != p:
-                        p = find(p)
-                    if p not in index:
-                        if pos[p] >= lo:
-                            index[p] = low[p] = len(index)
-                            stack.append(p)
-                            on_stack.add(p)
-                            work.append((p, iter(pred[p])))
-                            break
-                    elif p in on_stack and index[p] < low[n]:
-                        low[n] = index[p]
-                else:
-                    work.pop()
-                    if work and low[n] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[n]
-                    if low[n] == index[n]:
-                        scc = []
-                        while scc[-1:] != [n]:
-                            scc.append(stack.pop())
-                            on_stack.discard(scc[-1])
-                        sccs.append(scc)
-        return sccs
-
-    def reorder() -> None:
-        """Make every edge run forward in the order, collapsing cycles.
-        `backward` holds representatives (once edges exist, only reorder
-        merges nodes) and no position has moved since they were
-        recorded."""
-        lo = min(pos[rv] for _, rv in backward)
-        block = reach_sccs([ru for ru, _ in backward], lo)
-        backward.clear()
-        moved = {m for scc in block for m in scc}
-        order[lo:] = [scc[0] if len(scc) == 1 else collapse(scc) for scc in block] + [
-            n for n in order[lo:] if n not in moved
-        ]
-        for i in range(lo, len(order)):
-            pos[order[i]] = i
-
-    # Substitution. Each node is given a parent once, while it is still a
-    # root, so a cycle of single copies stays a tree: where the copies come
-    # back round, find(src) is the node itself. Then every node points
-    # straight at its representative.
-    for n, src in enumerate(copy_src):
-        if src >= 0:
-            parent[n] = find(src)
-    for n, r in enumerate(parent):
-        if r == n:
-            pos[n], succ[n], pred[n] = len(order), set(), set()
-            order.append(n)
-        elif parent[r] != r:
-            parent[n] = find(r)
+    for b, fname, dst in graph.loads:
+        loads.setdefault(b, []).append((fname, dst))
+    for b, fname, src in graph.stores:
+        stores.setdefault(b, []).append((fname, src))
     for src, dst in graph.copies:
         link(src, dst)
     for n, site in graph.base:
-        if site != NULL_SITE:
-            gain(n, 1 << site_bit[site])
+        add(n, 1 << graph.site_bit[site])
 
     pops = 0
-    while True:
-        grew = False
-        for b, seen in seen_bits.items():
-            now = bits[b if parent[b] == b else find(b)]
-            if now != seen:
-                route(b, now)
-                grew = True
-        if not grew and not dirty:
-            break
-        if backward:
-            reorder()
-        # No edge is added during the sweep, and after the reorder every
-        # edge runs forward in `order`: one pass from the lowest pending
-        # representative reaches every successor after its predecessors.
-        start = min((pos[find(r)] for r in dirty), default=len(order))
-        dirty.clear()
-        for r in islice(order, start, None):
-            delta = pending[r]
-            if not delta:
-                continue
-            pending[r] = 0
-            pops += 1
-            for s in succ[r]:
-                if parent[s] != s:
-                    s = find(s)
-                new = delta & ~bits[s]
-                if new:
-                    bits[s] |= new
-                    if succ[s]:
-                        pending[s] |= new
-
-    null = _spread_null(graph, null_succ)
-    pts = [bits[r if parent[r] == r else find(r)] | null[r] & NULL_BIT for r in range(len(parent))]
-    return PointsToSolution(graph, pts, cells, pops)
-
-
-def _spread_null(graph: Constraints, succ: list[list[int]]) -> bytearray:
-    """Per node of `succ` (a successor list, var nodes first): 1 if Null
-    reaches it from a Null base fact over `succ`, through untagged nodes
-    only; 2 for a tagged node, which never holds Null; else 0."""
-    null = bytearray(len(succ))
-    for n in graph.tagged:
-        null[n] = 2
-    work = [n for n, site in graph.base if site == NULL_SITE]
     while work:
         n = work.pop()
-        if not null[n]:
-            null[n] = 1
-            work.extend(succ[n])
-    return null
+        delta = pending[n]
+        pending[n] = 0
+        pops += 1
+        if n in loads or n in stores:
+            sites = _sites(delta & ~NULL_BIT, graph.sites)  # Null has no fields
+            for fname, dst in loads.get(n, ()):
+                for site in sites:
+                    link(cell(site, fname), dst)
+            for fname, src in stores.get(n, ()):
+                for site in sites:
+                    link(src, cell(site, fname))
+        for dst in succ[n]:
+            add(dst, delta)
+    return PointsToSolution(graph, pts, cells, pops)
 
 
 def solve_null(graph: Constraints) -> PointsToSolution:
@@ -652,7 +398,16 @@ def solve_null(graph: Constraints) -> PointsToSolution:
     succ: list[list[int]] = [[] for _ in graph.ids]
     for src, dst in graph.copies:
         succ[src].append(dst)
-    return PointsToSolution(graph, [b & NULL_BIT for b in _spread_null(graph, succ)], {})
+    null = bytearray(len(succ))  # 1: Null reached; 2: tagged, never holds Null
+    for n in graph.tagged:
+        null[n] = 2
+    work = [n for n, site in graph.base if site == NULL_SITE]
+    while work:
+        n = work.pop()
+        if not null[n]:
+            null[n] = 1
+            work.extend(succ[n])
+    return PointsToSolution(graph, [b & NULL_BIT for b in null], {})
 
 
 # ---------------------------------------------------------------------------

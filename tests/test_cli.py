@@ -426,16 +426,16 @@ def _verdict_outputs(capsys):
 
 
 def test_default_path_skips_wave_solver(capsys, monkeypatch):
-    """`analyze` and `report` decide verdicts without the wave solver: with
+    """`analyze` and `report` decide verdicts without the full solver: with
     it raising, they print the verdicts and rows of an unpatched run, which
-    are those of a run that decides them on the wave solver's solution."""
+    are those of a run that decides them on the full solver's solution."""
     unpatched = _verdict_outputs(capsys)
     with monkeypatch.context() as patch:
         patch.setattr(solver, "solve_null", solver.solve_worklist)
         assert _verdict_outputs(capsys) == unpatched
 
     def boom(graph):
-        raise AssertionError("the wave solver ran")
+        raise AssertionError("the full solver ran")
 
     monkeypatch.setattr(solver, "solve_worklist", boom)
     assert _verdict_outputs(capsys) == unpatched

@@ -300,10 +300,10 @@ def test_null_only_base_writes_no_cell_and_loads_only_null():
 
 
 def test_shared_store_hub_writes_every_cell():
-    """v0 holds site 1 before it gains site 2, so its stores go first to
-    the (1, h) cell and then to the hub of {1, 2}, which passes on to the
-    earlier one. v2's first bitset is already {1, 2}, so its store shares
-    that hub and must reach the (1, h) cell too."""
+    """Two bases store into field h: v0, which holds site 1 and gets site 2
+    over a copy from v3, and v2, which gets both sites only through
+    v2 := v0.f (v0 stores itself into its f cells). v2.h := v0 must reach
+    the (1, h) cell too."""
     cons = Constraints.build(
         base=[("v0", 1), ("v3", 2)],
         copies=[("v3", "v0")],
@@ -317,8 +317,8 @@ def test_shared_store_hub_writes_every_cell():
 
 def test_null_cell_reaches_load_through_multi_site_hub():
     """q.f := z stores Null and site 3 into the (1, f) cell. p holds {1, 2}
-    from the start, so x := p.f reads that cell only through the load hub
-    of {1, 2}: the hub must pass on the cell's Null as well as its sites."""
+    from the start, so x := p.f reads that cell as one of two: it must
+    receive the cell's Null as well as its sites."""
     cons = Constraints.build(
         base=[("p", 1), ("p", 2), ("q", 1), ("z", NULL_SITE), ("y", 3)],
         loads=[("p", "f", "x")],
@@ -331,10 +331,10 @@ def test_null_cell_reaches_load_through_multi_site_hub():
 
 def test_grown_load_hub_passes_prior_sites_to_shared_load():
     """r.f := z writes {1, 2} into the (1, f) cell. p holds {1}, so
-    p := p.f first reads that cell alone; then p grows to {1, 2}, and the
-    hub of {1, 2} reads the (2, f) cell plus the (1, f) cell through the
-    prior hub. q := r.f gains {1, 2} at once, so x := q.f shares that hub
-    and sees the (1, f) cell only through the prior link."""
+    p := p.f first reads that cell alone; then p grows to {1, 2} through
+    its own load and reads the (2, f) cell as well. q := r.f gains {1, 2}
+    at once, so x := q.f reads both cells from its first sites on, while
+    p's base reached them one site at a time."""
     cons = Constraints.build(
         base=[("z", 1), ("z", 2), ("r", 1), ("p", 1)],
         loads=[("p", "f", "p"), ("r", "f", "q"), ("q", "f", "x")],
@@ -347,10 +347,10 @@ def test_grown_load_hub_passes_prior_sites_to_shared_load():
 
 @st.composite
 def shared_hub_keys(draw):
-    """String-keyed constraint sets where loads and stores share hubs and
-    cycles run through cells: 2-10 var keys with a random tagged subset,
-    1-5 sites plus Null, 3 fields, and up to 8 loads and 8 stores over
-    them."""
+    """String-keyed constraint sets where loads and stores share base
+    bitsets and cycles run through cells: 2-10 var keys with a random
+    tagged subset, 1-5 sites plus Null, 3 fields, and up to 8 loads and 8
+    stores over them."""
     keys = [f"v{i}" for i in range(draw(st.integers(2, 10)))]
     sites = [NULL_SITE, *range(1, draw(st.integers(1, 5)) + 1)]
     key, site = st.sampled_from(keys), st.sampled_from(sites)
@@ -397,16 +397,11 @@ def test_huge_site_ids_stay_cheap():
     assert sol.pt_field(big, "f") == {bigger} and sol.pt("x") == {bigger}
 
 
-def test_worklist_pops_each_fan_in_node_once():
-    """On a DAG every representative with a successor pushes its bits
-    once. 20 allocated sources copy into one join, which feeds a 51-key
-    copy chain. Each chain key's one input is a single copy, so the whole
-    chain merges into join before the waves: its edges stay inside one
-    class, and join, left without a successor, only collects. The keys
-    are numbered join, chain, sources, so the 20 source edges run backward
-    in the first-mention order until the first wave reorders them; a LIFO
-    worklist over the unmerged chain would walk it once per source (1,060
-    pops). So only the 20 sources push, once each."""
+def test_fan_in_chain_matches_naive():
+    """20 allocated sources copy into one join, which feeds a 51-key copy
+    chain. The keys are numbered join, chain, sources, so every source edge
+    runs against the first-mention order. The whole chain ends with all 20
+    sites, as in the naive solution, and no cell is made."""
     sources = [f"s{i}" for i in range(20)]
     chain = [f"c{i}" for i in range(51)]
     cons = Constraints.build(
@@ -418,15 +413,13 @@ def test_worklist_pops_each_fan_in_node_once():
     assert sol == solve_naive(cons)
     assert sol.pt("c50") == set(range(1, 21))
     assert len(sol.pts) == 72
-    assert sol.pops == 20
 
 
 def test_successorless_base_is_routed_from_a_backward_chain():
-    """A base with no successors only collects and never pushes, so its
-    loads and stores are routed from its bitset at the top of the wave
-    after its sites arrive. They come from `a` through the copy chain
-    a -> c2 -> c1 -> b, numbered c1, b, c2, a: the chain's first two edges
-    run backward until the first wave reorders them."""
+    """A load and store base b with no copy out of it gets its sites from
+    `a` through the copy chain a -> c2 -> c1 -> b, numbered c1, b, c2, a,
+    so every copy of the chain runs against the first-mention order. Its
+    load and store still reach the (1, f) cell once the sites arrive."""
     cons = Constraints.build(
         base=[("a", 1), ("a", NULL_SITE), ("y", 2)],
         copies=[("c1", "b"), ("c2", "c1"), ("a", "c2")],
@@ -441,13 +434,13 @@ def test_successorless_base_is_routed_from_a_backward_chain():
     assert sol.pt("x") == sol.pt("y") == {2}
 
 
-# -- off-line variable substitution ------------------------------------------------
+# -- single-copy nodes ---------------------------------------------------------------
 
 
 def test_single_copy_cycle_with_no_other_input():
     """a -> b -> c -> a, and c -> x: every key's one input is a single
-    copy, and nothing enters the cycle, so all four merge into one class
-    and hold nothing. y's store reads a, and z loads the cell it writes."""
+    copy, and nothing enters the cycle, so all four hold nothing. y's store
+    reads a, and z loads the cell it writes, which stays empty."""
     cons = Constraints.build(
         base=[("y", 1)],
         copies=[("a", "b"), ("b", "c"), ("c", "a"), ("c", "x")],
@@ -460,8 +453,8 @@ def test_single_copy_cycle_with_no_other_input():
 
 
 def test_self_copy_keeps_its_own_class():
-    """x := x is x's one copy in, from x itself, so x stays its own
-    representative; y := x merges into it."""
+    """x := x is x's one copy in, from x itself, and y := x is y's. Both
+    hold x's Null, and y's Null-only base makes no cell."""
     cons = Constraints.build(
         base=[("x", NULL_SITE), ("s", 2)],
         copies=[("x", "x"), ("x", "y")],
@@ -475,8 +468,8 @@ def test_self_copy_keeps_its_own_class():
 
 
 def test_tagged_single_copy_node_drops_null_alone():
-    """t := s merges the tagged t into s's class. The tag strips Null from
-    t alone: s keeps it, and u := t gets only the site. t, as a load base,
+    """t := s is the tagged t's one input. The tag strips Null from t
+    alone: s keeps it, and u := t gets only the site. t, as a load base,
     reads the cell that s's store writes."""
     cons = Constraints.build(
         base=[("s", NULL_SITE), ("s", 1), ("y", 2)],
@@ -493,8 +486,8 @@ def test_tagged_single_copy_node_drops_null_alone():
 
 
 def test_single_copy_node_with_null_base_fact():
-    """n := s is n's one copy in, and a Null base fact does not stop the
-    merge: n and m := n hold Null, while s does not."""
+    """n := s is n's one copy in, and n has a Null base fact of its own:
+    n and m := n hold Null and s's site, while s holds no Null."""
     cons = Constraints.build(
         base=[("s", 1), ("n", NULL_SITE)],
         copies=[("s", "n"), ("n", "m")],
@@ -505,9 +498,10 @@ def test_single_copy_node_with_null_base_fact():
 
 
 def test_merged_load_base_and_store_source():
-    """b := a and w := v merge into a and v. b.f := w and x := b.f go
-    through the cells of a's sites, which grow when c copies site 3 into
-    a after a holds site 1."""
+    """b := a and w := v are the one inputs of the load and store base b
+    and the store source w. b.f := w and x := b.f go through the cells of
+    a's sites, which grow when c copies site 3 into a after a holds
+    site 1."""
     cons = Constraints.build(
         base=[("a", 1), ("v", 2), ("c", 3)],
         copies=[("a", "b"), ("v", "w"), ("c", "a")],
@@ -523,7 +517,7 @@ def test_merged_load_base_and_store_source():
 
 def test_copy_and_load_into_one_node_does_not_merge():
     """x := s and x := p.f: x has a load into it as well as its one copy,
-    so it keeps its own class, and the site the load brings stays out of s."""
+    and the site the load brings stays out of s."""
     cons = Constraints.build(
         base=[("s", 1), ("p", 2), ("q", 3)],
         copies=[("s", "x")],
@@ -646,12 +640,12 @@ def test_first_ladder_rung_counts():
     """The smallest rung of the benchmark ladder (555 statements), read
     through the attributes the benchmark reads: constraints per kind,
     worklist pops, non-empty points-to sets, their summed sizes, and the
-    UNPROVED count. Pops count the wave solver's pushes (one per
-    representative node per wave)."""
+    UNPROVED count. Pops count the worklist's pops (one per pending
+    delta)."""
     program = generate(GeneratorConfig(seed=1, max_procs=20, max_blocks=20, max_stmts=10))
     expected = {
-        "ssa": ((211, 182, 145, 22), 24, 292, 3_822, 113),
-        "ssa+gvn": ((204, 590, 138, 22), 23, 616, 9_618, 26),
+        "ssa": ((211, 182, 145, 22), 478, 292, 3_822, 113),
+        "ssa+gvn": ((204, 590, 138, 22), 954, 616, 9_618, 26),
     }
     for level, want in expected.items():
         out, _ = transform_program(program, level)
@@ -815,7 +809,7 @@ def test_bit_verdicts_match_sets_generated(seed):
 
 def check_null_projection(program) -> None:
     """On constraint-generated graphs, solve_null's bit of every var node is
-    the wave solver's Null bit, so both give the same verdicts. This is an
+    the full solver's Null bit, so both give the same verdicts. This is an
     independent check of the fact in the solver's docstring."""
     cons = generate_constraints(program)
     null, full_sol = solve_null(cons), solve_worklist(cons)

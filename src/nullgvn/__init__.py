@@ -16,7 +16,18 @@ from .solver import (
     solve_worklist,
     classify_assertions,
 )
-from .interp import enumerate_traces, traces_equivalent, check_solution_soundness
 from .corpus import bundled_programs, generate, GeneratorConfig
 
 __version__ = "0.1.0"
+
+# The oracle (the interpreter and its trace automata) loads on first use:
+# analyze, transform and report never run it.
+_ORACLE = ("enumerate_traces", "traces_equivalent", "check_solution_soundness")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE:
+        from . import interp
+
+        return getattr(interp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

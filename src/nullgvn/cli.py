@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path as FsPath
 from typing import TextIO
 
-from . import corpus, interp, normalize, pipeline
+from . import corpus, normalize, pipeline
 from .ir import Diagnostic
 from .parse import parse_program, print_program
 
@@ -58,7 +58,7 @@ def _in_file(path: str, diag: Diagnostic) -> Diagnostic:
     error already gives its file:line:col."""
     if diag.file:
         return diag
-    return dataclasses.replace(diag, where=f"{path}: {diag.where}" if diag.where else path)
+    return diag.replace(where=f"{path}: {diag.where}" if diag.where else path)
 
 
 def _parse(text: str, path: str):
@@ -109,6 +109,8 @@ def _check_semantics(
     """Compare the traces of the program in `path` and its transform.
     Returns the coverage, as `N / M traces, X% / Y% truncated`, when they
     are equivalent; prints the witness and returns None when they are not."""
+    from . import interp
+
     if depth < 1:
         raise InputError([Diagnostic("error", f"--depth must be at least 1, got {depth}")])
     try:
@@ -180,8 +182,9 @@ def cmd_check_semantics(args) -> int:
 
 
 # The type of each numeric generator setting, taken from its default.
-CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(corpus.GeneratorConfig)
-                if f.name != "weights"}
+CONFIG_TYPES = {name: type(default)
+                for name, default in corpus.GeneratorConfig._field_defaults.items()
+                if name != "weights"}
 CONFIG_KEYS = (*CONFIG_TYPES, *(f"weight_{kind}" for kind in corpus.DEFAULT_WEIGHTS))
 
 
@@ -230,7 +233,7 @@ def _config_from_args(args) -> corpus.GeneratorConfig:
     ]
     if problems:
         raise InputError([Diagnostic("error", msg, where=where) for msg, where in problems])
-    return dataclasses.replace(corpus.GeneratorConfig(), weights=tuple(weights.items()), **changes)
+    return corpus.GeneratorConfig()._replace(weights=tuple(weights.items()), **changes)
 
 
 def cmd_gen(args) -> int:
@@ -256,11 +259,13 @@ def _report_row(path: FsPath) -> dict:
 
 
 def cmd_report(args) -> int:
-    root = FsPath(args.directory)
-    files = sorted(root.glob("*.ir"))
+    try:
+        names = os.listdir(args.directory)
+    except OSError as exc:
+        raise _file_error(args.directory, exc) from exc
+    files = sorted(FsPath(args.directory) / name for name in names if name.endswith(".ir"))
     if not files:
-        print(f"no .ir files under {root}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
+        raise InputError([Diagnostic("error", "no .ir files", where=args.directory)])
     rows = [_report_row(path) for path in files]
     if args.format == "json":
         _emit(json.dumps(rows, indent=2) + "\n", None)

@@ -12,8 +12,8 @@ shape the transformation exploits.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .ir import (
     Alloc,
@@ -77,8 +77,7 @@ DEFAULT_WEIGHTS = {
 FIELDS = ("f", "g", "h")
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(NamedTuple):
     seed: int = 0
     max_procs: int = 2
     max_blocks: int = 4

@@ -1,14 +1,14 @@
 """Pointer-program intermediate representation: statements, blocks, procedures.
 
-Every node class is a slotted dataclass, so a node carries no per-instance
-`__dict__`: a program holds one small object per statement, path and block.
+Every node class is a `Node`: its fields are its `__slots__`, so a node
+carries no per-instance `__dict__` and a program holds one small object per
+statement, path and block.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 from typing import TypeVar
 
 # Allocation sites are plain non-negative ints; site 0 stands for Null.
@@ -60,36 +60,91 @@ def is_reserved_name(name: str) -> bool:
     return "__" in name and _GENERATED_RE.search(name) is None
 
 
+class Node:
+    """Base of the IR classes. A subclass lists its fields in `__slots__`,
+    and defaults for trailing fields in `_defaults`; unless it writes its
+    own, it gets an `__init__`, compiled once when the class is defined,
+    that takes the fields by position or keyword. `Node` gives field-wise
+    `__eq__`, `__hash__` and `__repr__`, `__reduce__` for copy and pickle,
+    and `replace`. A subclass is frozen and hashable unless declared with
+    `frozen=False`, which makes it mutable and unhashable."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        params = [f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in names]
+        sets = [f"_set(self, {n!r}, {n})" if frozen else f"self.{n} = {n}" for n in names]
+        namespace: dict = {}
+        exec(
+            f"def __init__(self, {', '.join(params)}):\n {'; '.join(sets) or 'pass'}\n"
+            f"def _values(self):\n return ({''.join(f'self.{n}, ' for n in names)})\n",
+            {"_set": object.__setattr__, "_defaults": cls._defaults},
+            namespace,
+        )
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = namespace["__init__"]
+        cls._values = namespace["_values"]
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _frozen
+        else:
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def replace(self, **changes):
+        """A copy of the node with the given fields changed."""
+        return self.__class__(**dict(zip(self.__slots__, self._values()), **changes))
+
+
+def _frozen(self, name, *value):
+    """`__setattr__` and `__delattr__` of a frozen node."""
+    raise AttributeError(f"cannot set or delete field {name!r} of a frozen {type(self).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # Expressions and conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Path:
+class Path(Node):
     """An access path: a base variable plus zero or more field selectors."""
 
-    base: str
-    fields: tuple[str, ...] = ()
+    __slots__ = ("base", "fields")
+    _defaults = {"fields": ()}
 
     def __str__(self) -> str:
         return ".".join((self.base, *self.fields))
 
 
-@dataclass(frozen=True, slots=True)
-class NullCheck:
+class NullCheck(Node):
     """Condition of the form `path != Null` (negated=True) or `path == Null`."""
 
-    path: Path
-    negated: bool
+    __slots__ = ("path", "negated")
 
     def __str__(self) -> str:
         op = "!=" if self.negated else "=="
         return f"({self.path} {op} Null)"
 
 
-@dataclass(frozen=True, slots=True)
-class Opaque:
+class Opaque(Node):
     """A condition the analysis does not model; written `*` in source."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "*"
@@ -102,68 +157,53 @@ Cond = NullCheck | Opaque
 # Statements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Assign:
+class Assign(Node):
     """`x := y` or `x := y.f.g`; covers plain copies and field reads."""
 
-    lhs: str
-    rhs: Path
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, slots=True)
-class Alloc:
+class Alloc(Node):
     """`x := new(site)`; site ids are positive and unique program-wide."""
 
-    lhs: str
-    site: int
+    __slots__ = ("lhs", "site")
 
 
-@dataclass(frozen=True, slots=True)
-class AssignNull:
-    lhs: str
+class AssignNull(Node):
+    __slots__ = ("lhs",)
 
 
-@dataclass(frozen=True, slots=True)
-class Store:
+class Store(Node):
     """`x.f := y`; single-level stores only, source must be a variable."""
 
-    base: str
-    field: str
-    src: str
+    __slots__ = ("base", "field", "src")
 
 
-@dataclass(frozen=True, slots=True)
-class Assume:
-    cond: Cond
+class Assume(Node):
+    __slots__ = ("cond",)
 
 
-@dataclass(frozen=True, slots=True)
-class Assert:
-    cond: Cond
+class Assert(Node):
+    __slots__ = ("cond",)
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
+class Call(Node):
     """`o1, ... := call p(a1, ...)`; outs may be empty."""
 
-    outs: tuple[str, ...]
-    callee: str
-    args: tuple[str, ...]
+    __slots__ = ("outs", "callee", "args")
 
 
 Statement = Assign | Alloc | AssignNull | Store | Assume | Assert | Call
 
 
-@dataclass(frozen=True, slots=True)
-class Goto:
+class Goto(Node):
     """Nondeterministic jump to one of the listed labels."""
 
-    targets: tuple[str, ...]
+    __slots__ = ("targets",)
 
 
-@dataclass(frozen=True, slots=True)
-class Return:
-    pass
+class Return(Node):
+    __slots__ = ()
 
 
 Transfer = Goto | Return
@@ -173,21 +213,12 @@ Transfer = Goto | Return
 # Program structure
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class Block:
-    label: str
-    stmts: list[Statement]
-    transfer: Transfer
+class Block(Node, frozen=False):
+    __slots__ = ("label", "stmts", "transfer")
 
 
-@dataclass(slots=True)
-class Procedure:
-    name: str
-    params: list[str]
-    returns: list[str]
-    locals: list[str]
-    blocks: list[Block]
-    entry_block: str
+class Procedure(Node, frozen=False):
+    __slots__ = ("name", "params", "returns", "locals", "blocks", "entry_block")
 
     def block_map(self) -> dict[str, Block]:
         return {b.label: b for b in self.blocks}
@@ -197,11 +228,8 @@ class Procedure:
         return list(dict.fromkeys((*self.params, *self.locals, *self.returns)))
 
 
-@dataclass(slots=True)
-class Program:
-    globals: list[str]
-    procedures: list[Procedure]
-    entry: str
+class Program(Node, frozen=False):
+    __slots__ = ("globals", "procedures", "entry")
 
     def proc_map(self) -> dict[str, Procedure]:
         return {p.name: p for p in self.procedures}
@@ -218,14 +246,9 @@ class Program:
         return Program(list(self.globals), procedures, self.entry)
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    severity: str
-    message: str
-    file: str = ""
-    line: int = 0
-    col: int = 0
-    where: str = ""
+class Diagnostic(Node):
+    __slots__ = ("severity", "message", "file", "line", "col", "where")
+    _defaults = {"file": "", "line": 0, "col": 0, "where": ""}
 
     def __str__(self) -> str:
         loc = ""

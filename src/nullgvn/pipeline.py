@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gvn as gvn_mod
-from . import interp, normalize, solver
+from . import normalize, solver
 from .ir import Program
 
 # The transform stages in order, and how many of them each level runs.
@@ -15,8 +15,7 @@ _LEVEL_STAGES = {"none": 0, "ssa": 2, "ssa+gvn": 3}
 TRANSFORM_LEVELS = tuple(_LEVEL_STAGES)
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     transformed: Program          # after the requested transform level
     report: solver.SafetyReport
 
@@ -52,6 +51,8 @@ def stage_witnesses(program: Program, depth: int) -> list[tuple[str, str | None]
     the `traces_diff` witness of the stage's traces against the original's
     at `depth`, or None when they are equivalent. The original is
     enumerated once."""
+    from . import interp
+
     reference = interp.enumerate_traces(program, depth)
     return [
         (stage, interp.traces_diff(reference, interp.enumerate_traces(prog, depth)))

@@ -41,7 +41,6 @@ read: the soundness replay, the agreement with `solve_naive`, and the fuzz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 
@@ -51,6 +50,7 @@ from .ir import (
     Assign,
     AssignNull,
     Call,
+    Node,
     NullCheck,
     Path,
     Program,
@@ -83,20 +83,21 @@ class _ScopeKeys(dict):
         return key
 
 
-@dataclass
-class Constraints:
+class Constraints(Node, frozen=False):
     """The constraint graph over dense var node ids (`ids`, numbered by
     `build`) and the one site numbering: `sites[i]` is bit i of every
     points-to bitset, Null at bit 0 and the other sites ascending."""
 
-    base: list[tuple[int, int]]          # site in pt(x)
-    copies: list[tuple[int, int]]        # pt(src) <= pt(dst)
-    loads: list[tuple[int, str, int]]    # x := base.f
-    stores: list[tuple[int, str, int]]   # base.f := src
-    tagged: set[int]                     # never admit Null
-    ids: dict[str, int]
-    sites: list[int]
-    site_bit: dict[int, int]
+    __slots__ = (
+        "base",      # list[tuple[int, int]]: site in pt(x)
+        "copies",    # list[tuple[int, int]]: pt(src) <= pt(dst)
+        "loads",     # list[tuple[int, str, int]]: x := base.f
+        "stores",    # list[tuple[int, str, int]]: base.f := src
+        "tagged",    # set[int]: never admit Null
+        "ids",       # dict[str, int]
+        "sites",     # list[int]
+        "site_bit",  # dict[int, int]
+    )
 
     @classmethod
     def build(cls, base=(), copies=(), loads=(), stores=(), tagged=()) -> Constraints:
@@ -418,19 +419,20 @@ SAFE = "SAFE"
 UNPROVED = "UNPROVED"
 
 
-@dataclass
-class AssertVerdict:
-    proc: str
-    block: str
-    index: int
-    cond: str
-    verdict: str
+class AssertVerdict(Node, frozen=False):
+    __slots__ = ("proc", "block", "index", "cond", "verdict")
 
 
-@dataclass
-class SafetyReport:
-    per_assert: list[AssertVerdict]
-    timings_ms: dict[str, float] = field(default_factory=dict)
+class SafetyReport(Node, frozen=False):
+    """The verdicts of one program, and the milliseconds each layer took."""
+
+    __slots__ = ("per_assert", "timings_ms")
+
+    def __init__(
+        self, per_assert: list[AssertVerdict], timings_ms: dict[str, float] | None = None
+    ):
+        self.per_assert = per_assert
+        self.timings_ms = {} if timings_ms is None else timings_ms
 
     @property
     def total(self) -> int:

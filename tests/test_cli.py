@@ -442,8 +442,15 @@ def test_default_path_skips_wave_solver(capsys, monkeypatch):
 
 
 def test_missing_corpus_dir(capsys, tmp_path):
-    code, _, err = run(capsys, "report", tmp_path / "nothing")
-    assert code == 1
+    """A missing path, a file and a directory without programs are each
+    named with the reason, in the `path: error:` form of a file error."""
+    (tmp_path / "file.ir").write_text("", encoding="utf-8")
+    (tmp_path / "empty").mkdir()
+    for name, reason in (("nothing", "No such file or directory"),
+                         ("file.ir", "Not a directory"),
+                         ("empty", "no .ir files")):
+        code, out, err = run(capsys, "report", tmp_path / name)
+        assert (code, out, err) == (1, "", f"{tmp_path / name}: error: {reason}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,14 @@ from nullgvn.interp import (
 )
 from nullgvn.ir import (
     Alloc,
+    Assert,
     Assign,
+    Assume,
     Block,
     Diagnostic,
     Goto,
+    Node,
+    NullCheck,
     Path,
     Procedure,
     Program,
@@ -56,10 +61,10 @@ def walk(node):
     """Every IR node under `node`, itself included, and every string field
     value, as ("node", obj) and ("str", obj) pairs."""
     yield "node", node
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in node.__slots__:
+        value = getattr(node, name)
         for item in value if isinstance(value, (list, tuple)) else (value,):
-            if dataclasses.is_dataclass(item):
+            if isinstance(item, Node):
                 yield from walk(item)
             elif isinstance(item, str):
                 yield "str", item
@@ -81,9 +86,73 @@ def test_ir_nodes_have_no_instance_dict(bundled):
                        "NullCheck", "Opaque"}
     diag = Diagnostic("error", "bad", where="procedure p")
     assert not hasattr(diag, "__dict__")
-    moved = dataclasses.replace(diag, file="f.ir", line=3, col=4)
+    moved = diag.replace(file="f.ir", line=3, col=4)
     assert str(moved) == "f.ir:3:4: error: bad"
     assert diag == Diagnostic("error", "bad", where="procedure p")
+
+
+def test_node_equality_and_hash():
+    """Nodes are equal when their class and fields are; equal nodes hash equal."""
+    cond = NullCheck(Path("x"), True)
+    assert Assume(cond) != Assert(cond)
+    assert Path("x") == Path("x", ()) and Path("x") != Path("x", ("f",))
+    assert Path("x") != "x"
+    pairs = [
+        (Path("x"), Path(base="x", fields=())),
+        (Assign("y", Path("x", ("f",))), Assign(rhs=Path("x", ("f",)), lhs="y")),
+        (Assert(cond), Assert(NullCheck(Path("x"), True))),
+        (Diagnostic("error", "bad"), Diagnostic("error", "bad", "", 0, 0, "")),
+        (Return(), Return()),
+    ]
+    for a, b in pairs:
+        assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
+
+
+def test_frozen_nodes_refuse_assignment():
+    path = Path("x")
+    with pytest.raises(AttributeError):
+        path.base = "y"
+    with pytest.raises(AttributeError):
+        del path.fields
+    with pytest.raises(AttributeError):
+        path.extra = 1
+    assert path == Path("x")
+
+
+def test_program_is_mutable_and_unhashable(bundled):
+    program = bundled["guarded_copy"].clone()
+    with pytest.raises(TypeError):
+        hash(program)
+    with pytest.raises(TypeError):
+        hash(program.procedures[0].blocks[0])
+    program.entry = "elsewhere"
+    program.procedures[0].name = "renamed"
+    assert (program.entry, program.procedures[0].name) == ("elsewhere", "renamed")
+    assert program != bundled["guarded_copy"]
+
+
+def test_deepcopy_and_pickle_round_trip(bundled):
+    for name, program in bundled.items():
+        for copied in (copy.deepcopy(program), pickle.loads(pickle.dumps(program))):
+            assert copied == program and copied is not program, name
+            assert copied.procedures[0].blocks is not program.procedures[0].blocks, name
+
+
+def test_node_repr():
+    assert repr(Path("x")) == "Path(base='x', fields=())"
+    assert (repr(Assign("y", Path("x", ("f",))))
+            == "Assign(lhs='y', rhs=Path(base='x', fields=('f',)))")
+    assert (repr(Diagnostic("error", "bad", where="procedure p"))
+            == "Diagnostic(severity='error', message='bad', file='', line=0, col=0, "
+               "where='procedure p')")
+
+
+def test_diagnostic_keyword_construction():
+    diag = Diagnostic(severity="error", message="bad", where="procedure p")
+    assert diag == Diagnostic("error", "bad", "", 0, 0, "procedure p")
+    assert str(diag) == "procedure p: error: bad"
+    assert str(diag.replace(where="")) == "error: bad"
 
 
 def test_clone_shares_statements_in_fresh_containers(bundled):
